@@ -129,7 +129,9 @@ class OwnerFilter {
   static_assert(sizeof(Header) == 32);
 
   static constexpr std::uint32_t kMagic = 0x544C4652;  // "RFLT"
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: block index salted apart from owner_of (a version-1 body places
+  /// keys in other blocks, so decoding one would yield false negatives).
+  static constexpr std::uint32_t kVersion = 2;
 
   /// Serialized size in bytes.
   std::size_t wire_bytes() const noexcept {
@@ -203,11 +205,19 @@ class OwnerFilter {
 
   OwnerFilter() = default;
 
+  /// The block index comes from a mix salted apart from the plain mix64
+  /// that hash::owner_of reduces: a filter only ever holds and is probed
+  /// with keys of one owner, so mix64(key) % nblocks would confine them to
+  /// 1/gcd(nblocks, ranks) of the blocks.
+  std::size_t block_index(std::uint64_t key) const noexcept {
+    return static_cast<std::size_t>(mix64(key ^ 0xD6E8FEB86659FD93ull) %
+                                    nblocks_);
+  }
   std::uint64_t* block_of(std::uint64_t key) noexcept {
-    return blocks_.data() + (mix64(key) % nblocks_) * kBlockWords;
+    return blocks_.data() + block_index(key) * kBlockWords;
   }
   const std::uint64_t* block_of(std::uint64_t key) const noexcept {
-    return blocks_.data() + (mix64(key) % nblocks_) * kBlockWords;
+    return blocks_.data() + block_index(key) * kBlockWords;
   }
 
   /// Intra-block double hashing; derived from a second independent mix so

@@ -12,9 +12,11 @@
 //   * one uniform, named, rank-labelled view of everything, rendered as a
 //     Prometheus-style text dump and as extra stats::RunReport columns.
 //
-// `publish_timeline()` is the single bridge that mirrors the struct
-// counters into the registry at harvest time, so no hot-path increment is
-// ever duplicated.
+// The registry knows no stats struct. The per-rank struct counters reach
+// it through the counter table in parallel/report.cpp
+// (parallel::publish_metrics), which registers each table row through
+// counter()/gauge() at harvest time, so no hot-path increment is ever
+// duplicated.
 //
 // Overhead contract: when metrics are disabled, `Registry::histogram()`
 // etc. return nullptr; call sites cache the pointer per chunk/loop and the
@@ -30,11 +32,17 @@
 #include <string_view>
 #include <vector>
 
-namespace reptile::stats {
-struct PhaseTimeline;  // bridge target; defined in stats/phase_timeline.hpp
-}  // namespace reptile::stats
-
 namespace reptile::obs {
+
+/// Latency histograms that also surface as report columns
+/// (parallel::to_report): named here once for the record sites and the
+/// report alike.
+inline constexpr const char kLookupRttHistogram[] = "reptile_lookup_rtt_us";
+inline constexpr const char kBatchPrefetchHistogram[] =
+    "reptile_batch_prefetch_us";
+inline constexpr const char kServiceHandleHistogram[] =
+    "reptile_service_handle_us";
+inline constexpr const char kMailboxWaitHistogram[] = "reptile_mailbox_wait_us";
 
 class Counter {
  public:
@@ -180,14 +188,6 @@ class Registry {
   /// merged before rank/job in the exposition — the ledger's
   /// reptile_ledger_bytes{account=...} family uses this.
   Gauge* gauge_labelled(std::string_view name, std::string_view label);
-
-  /// Mirrors one rank's harvested stats::PhaseTimeline counters into
-  /// named registry counters/gauges — the single seam absorbing
-  /// LookupStats/RemoteLookupStats/ServiceStats. job >= 0 publishes the
-  /// counters under the (rank, job) pair (serve mode); -1 keeps the
-  /// one-shot rank-only labelling.
-  void publish_timeline(const stats::PhaseTimeline& timeline, int rank,
-                        std::int64_t job = -1);
 
   /// Prometheus text exposition (`# TYPE` comments, `{rank="N"}` /
   /// `{rank="N",job="J"}` labels, `_bucket{le=...}` per histogram) of

@@ -1,10 +1,16 @@
 #include "parallel/config_file.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <fstream>
+#include <functional>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace reptile::parallel {
@@ -43,256 +49,215 @@ double parse_double(const std::string& v, int line) {
   }
 }
 
-/// One recognized key: its name and how its value lands in the config.
-/// The table is the single source of truth for the key set — the parser,
-/// the unknown-key suggestion, and (by construction) to_config_text all
-/// cover exactly these keys.
+/// A config value parsed as the type of the member it lands in.
+template <class T>
+T parse_as(const std::string& v, int line) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return parse_bool(v, line);
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(parse_int(v, line));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return parse_double(v, line);
+  } else {
+    return T(v);  // std::string or std::filesystem::path
+  }
+}
+
+/// Writes one `key value` line. Booleans print as 1/0; an empty string or
+/// path prints nothing (such keys are optional).
+template <class T>
+void emit(std::ostream& out, std::string_view key, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out << key << ' ' << (value ? 1 : 0) << '\n';
+  } else if constexpr (std::is_same_v<T, std::filesystem::path>) {
+    if (!value.empty()) out << key << ' ' << value.string() << '\n';
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!value.empty()) out << key << ' ' << value << '\n';
+  } else {
+    out << key << ' ' << value << '\n';
+  }
+}
+
+/// One recognized key: how its value lands in the config and how it is
+/// written back. keys() is the single source of truth for the key set —
+/// the parser, the unknown-key suggestion and to_config_text all iterate
+/// it.
 struct KeySpec {
-  std::string_view key;
-  void (*apply)(RunConfigFile&, const std::string& value, int line);
+  std::string key;
+  std::function<void(RunConfigFile&, const std::string&, int)> parse;
+  std::function<void(std::ostream&, std::string_view, const RunConfigFile&)>
+      emit;
+  /// Byte offset of the member the key writes, within a RunConfigFile. It
+  /// identifies the member when a `job.*` key is derived from it (-1 for
+  /// keys that write a job override).
+  std::ptrdiff_t offset = -1;
 };
 
-constexpr KeySpec kKeys[] = {
-    {"fasta_file",
-     [](RunConfigFile& c, const std::string& v, int) { c.fasta_file = v; }},
-    {"qual_file",
-     [](RunConfigFile& c, const std::string& v, int) { c.qual_file = v; }},
-    {"output_file",
-     [](RunConfigFile& c, const std::string& v, int) { c.output_file = v; }},
-    {"kmer_length",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.k = static_cast<int>(parse_int(v, l));
-     }},
-    {"tile_overlap",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.tile_overlap = static_cast<int>(parse_int(v, l));
-     }},
-    {"kmer_threshold",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.kmer_threshold = static_cast<unsigned>(parse_int(v, l));
-     }},
-    {"tile_threshold",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.tile_threshold = static_cast<unsigned>(parse_int(v, l));
-     }},
-    {"canonical",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.canonical = parse_bool(v, l);
-     }},
-    {"qual_threshold",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.qual_threshold = static_cast<int>(parse_int(v, l));
-     }},
-    {"restrict_to_low_quality",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.restrict_to_low_quality = parse_bool(v, l);
-     }},
-    {"max_positions_per_tile",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.max_positions_per_tile = static_cast<int>(parse_int(v, l));
-     }},
-    {"max_hamming",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.max_hamming = static_cast<int>(parse_int(v, l));
-     }},
-    {"dominance_ratio",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.dominance_ratio = parse_double(v, l);
-     }},
-    {"max_corrections_per_read",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.max_corrections_per_read = static_cast<int>(parse_int(v, l));
-     }},
-    {"chunk_size",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.chunk_size = static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"prefetch_capacity",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.prefetch_capacity = static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"remote_cache_capacity",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.params.remote_cache_capacity =
-           static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"universal",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.universal = parse_bool(v, l);
-     }},
-    {"read_kmers",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.read_kmers = parse_bool(v, l);
-     }},
-    {"allgather_kmers",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.allgather_kmers = parse_bool(v, l);
-     }},
-    {"allgather_tiles",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.allgather_tiles = parse_bool(v, l);
-     }},
-    {"add_remote",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.add_remote = parse_bool(v, l);
-     }},
-    {"batch_reads",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.batch_reads = parse_bool(v, l);
-     }},
-    {"batch_lookups",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.batch_lookups = parse_bool(v, l);
-     }},
-    {"filter_lookups",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.filter_lookups = parse_bool(v, l);
-     }},
-    {"filter_fp_rate",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.filter_fp_rate = parse_double(v, l);
-     }},
-    {"load_balance",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.load_balance = parse_bool(v, l);
-     }},
-    {"partial_replication_group",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.partial_replication_group =
-           static_cast<int>(parse_int(v, l));
-     }},
-    {"bloom_construction",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.heuristics.bloom_construction = parse_bool(v, l);
-     }},
-    {"rtm_check",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.rtm_check = parse_bool(v, l);
-     }},
-    {"mailbox_fast_path",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.mailbox_fast_path = parse_bool(v, l);
-     }},
-    {"chaos_seed",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.seed = static_cast<std::uint64_t>(parse_int(v, l));
-     }},
-    {"chaos_max_delay_us",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.max_delay_us = static_cast<int>(parse_int(v, l));
-     }},
-    {"chaos_drop_rate",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.drop_rate = parse_double(v, l);
-     }},
-    {"chaos_duplicate_rate",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.duplicate_rate = parse_double(v, l);
-     }},
-    {"chaos_truncate_rate",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.truncate_rate = parse_double(v, l);
-     }},
-    {"chaos_stall_rate",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.stall_rate = parse_double(v, l);
-     }},
-    {"chaos_stall_us",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.chaos.stall_us = static_cast<int>(parse_int(v, l));
-     }},
-    {"lookup_timeout_ticks",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.retry.timeout_ticks = static_cast<int>(parse_int(v, l));
-     }},
-    {"lookup_max_retries",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.retry.max_retries = static_cast<int>(parse_int(v, l));
-     }},
-    {"trace_enabled",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.trace.enabled = parse_bool(v, l);
-     }},
-    {"trace_path",
-     [](RunConfigFile& c, const std::string& v, int) { c.trace.path = v; }},
-    {"trace_ring_capacity",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.trace.ring_capacity = static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"metrics_enabled",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.trace.metrics = parse_bool(v, l);
-     }},
-    {"ledger_enabled",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.trace.ledger = parse_bool(v, l);
-     }},
-    // Serve-mode per-job overrides (parallel/job.hpp): the `job.*` namespace
-    // mirrors the correction-phase subset of the top-level keys. Unset keys
-    // keep the server's build-time value.
-    {"job.qual_threshold",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.qual_threshold = static_cast<int>(parse_int(v, l));
-     }},
-    {"job.restrict_to_low_quality",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.restrict_to_low_quality = parse_bool(v, l);
-     }},
-    {"job.max_positions_per_tile",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.max_positions_per_tile = static_cast<int>(parse_int(v, l));
-     }},
-    {"job.max_hamming",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.max_hamming = static_cast<int>(parse_int(v, l));
-     }},
-    {"job.dominance_ratio",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.dominance_ratio = parse_double(v, l);
-     }},
-    {"job.max_corrections_per_read",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.max_corrections_per_read = static_cast<int>(parse_int(v, l));
-     }},
-    {"job.chunk_size",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.chunk_size = static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"job.prefetch_capacity",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.prefetch_capacity = static_cast<std::size_t>(parse_int(v, l));
-     }},
-    {"job.universal",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.universal = parse_bool(v, l);
-     }},
-    {"job.batch_lookups",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.batch_lookups = parse_bool(v, l);
-     }},
-    {"job.filter_lookups",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.filter_lookups = parse_bool(v, l);
-     }},
-    {"job.add_remote",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.add_remote = parse_bool(v, l);
-     }},
-    {"job.deadline_ms",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       c.job.deadline_seconds = parse_double(v, l) / 1000.0;
-     }},
-    {"job.lookup_timeout_ticks",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       if (!c.job.retry) c.job.retry.emplace();
-       c.job.retry->timeout_ticks = static_cast<int>(parse_int(v, l));
-     }},
-    {"job.lookup_max_retries",
-     [](RunConfigFile& c, const std::string& v, int l) {
-       if (!c.job.retry) c.job.retry.emplace();
-       c.job.retry->max_retries = static_cast<int>(parse_int(v, l));
-     }},
-};
+/// A default config; a member's address in it, as an offset from its
+/// start, identifies that member (KeySpec::offset).
+const RunConfigFile& probe() {
+  static const RunConfigFile config;
+  return config;
+}
+
+std::ptrdiff_t offset_in_probe(const void* member) {
+  return static_cast<const char*>(member) -
+         reinterpret_cast<const char*>(&probe());
+}
+
+/// A key bound to a top-level member of the config.
+template <class T>
+KeySpec field(std::string key, T RunConfigFile::*member) {
+  return {std::move(key),
+          [member](RunConfigFile& c, const std::string& v, int line) {
+            c.*member = parse_as<T>(v, line);
+          },
+          [member](std::ostream& out, std::string_view key,
+                   const RunConfigFile& c) { emit(out, key, c.*member); },
+          offset_in_probe(&(probe().*member))};
+}
+
+/// A key bound to `member` of the config's sub-struct `group`.
+template <class G, class T>
+KeySpec field(std::string key, G RunConfigFile::*group, T G::*member) {
+  return {std::move(key),
+          [group, member](RunConfigFile& c, const std::string& v, int line) {
+            c.*group.*member = parse_as<T>(v, line);
+          },
+          [group, member](std::ostream& out, std::string_view key,
+                          const RunConfigFile& c) {
+            emit(out, key, c.*group.*member);
+          },
+          offset_in_probe(&(probe().*group.*member))};
+}
+
+/// Appends `job.<key>` for each (JobOverrides member, member of `group`)
+/// pair, named after the base key that writes the paired member. The key
+/// sets the override; it is emitted only when the override is set.
+template <class G, class Pairs>
+void add_job_keys(std::vector<KeySpec>& keys, G RunConfigFile::*group,
+                  const Pairs& pairs) {
+  const auto add = [&](auto job_member, auto base_member) {
+    using T = typename std::remove_reference_t<
+        decltype(probe().job.*job_member)>::value_type;
+    const std::ptrdiff_t offset =
+        offset_in_probe(&(probe().*group.*base_member));
+    const auto base =
+        std::find_if(keys.begin(), keys.end(),
+                     [offset](const KeySpec& k) { return k.offset == offset; });
+    if (base == keys.end()) {
+      throw std::logic_error("config: a job override has no base key");
+    }
+    keys.push_back(
+        {"job." + base->key,
+         [job_member](RunConfigFile& c, const std::string& v, int line) {
+           c.job.*job_member = parse_as<T>(v, line);
+         },
+         [job_member](std::ostream& out, std::string_view key,
+                      const RunConfigFile& c) {
+           if (const auto& value = c.job.*job_member) emit(out, key, *value);
+         }});
+  };
+  std::apply([&](const auto&... pair) { (add(pair.first, pair.second), ...); },
+             pairs);
+}
+
+/// `job.lookup_*`: a member of the job's retry override, which the first
+/// such key creates from the defaults; both are emitted once it exists.
+KeySpec job_retry_field(std::string key, int RetryPolicy::*member) {
+  return {std::move(key),
+          [member](RunConfigFile& c, const std::string& v, int line) {
+            if (!c.job.retry) c.job.retry.emplace();
+            (*c.job.retry).*member = parse_as<int>(v, line);
+          },
+          [member](std::ostream& out, std::string_view key,
+                   const RunConfigFile& c) {
+            if (c.job.retry) emit(out, key, (*c.job.retry).*member);
+          }};
+}
+
+std::vector<KeySpec> make_keys() {
+  using C = RunConfigFile;
+  using P = core::CorrectorParams;
+  using H = Heuristics;
+  using F = rtm::FaultPlan;
+  using T = obs::TraceConfig;
+  std::vector<KeySpec> keys = {
+      field("fasta_file", &C::fasta_file),
+      field("qual_file", &C::qual_file),
+      field("output_file", &C::output_file),
+      field("kmer_length", &C::params, &P::k),
+      field("tile_overlap", &C::params, &P::tile_overlap),
+      field("kmer_threshold", &C::params, &P::kmer_threshold),
+      field("tile_threshold", &C::params, &P::tile_threshold),
+      field("canonical", &C::params, &P::canonical),
+      field("qual_threshold", &C::params, &P::qual_threshold),
+      field("restrict_to_low_quality", &C::params,
+            &P::restrict_to_low_quality),
+      field("max_positions_per_tile", &C::params, &P::max_positions_per_tile),
+      field("max_hamming", &C::params, &P::max_hamming),
+      field("dominance_ratio", &C::params, &P::dominance_ratio),
+      field("max_corrections_per_read", &C::params,
+            &P::max_corrections_per_read),
+      field("chunk_size", &C::params, &P::chunk_size),
+      field("prefetch_capacity", &C::params, &P::prefetch_capacity),
+      field("remote_cache_capacity", &C::params, &P::remote_cache_capacity),
+      field("universal", &C::heuristics, &H::universal),
+      field("read_kmers", &C::heuristics, &H::read_kmers),
+      field("allgather_kmers", &C::heuristics, &H::allgather_kmers),
+      field("allgather_tiles", &C::heuristics, &H::allgather_tiles),
+      field("add_remote", &C::heuristics, &H::add_remote),
+      field("batch_reads", &C::heuristics, &H::batch_reads),
+      field("batch_lookups", &C::heuristics, &H::batch_lookups),
+      field("filter_lookups", &C::heuristics, &H::filter_lookups),
+      field("filter_fp_rate", &C::heuristics, &H::filter_fp_rate),
+      field("load_balance", &C::heuristics, &H::load_balance),
+      field("partial_replication_group", &C::heuristics,
+            &H::partial_replication_group),
+      field("bloom_construction", &C::heuristics, &H::bloom_construction),
+      field("rtm_check", &C::rtm_check),
+      field("mailbox_fast_path", &C::mailbox_fast_path),
+      field("chaos_seed", &C::chaos, &F::seed),
+      field("chaos_max_delay_us", &C::chaos, &F::max_delay_us),
+      field("chaos_drop_rate", &C::chaos, &F::drop_rate),
+      field("chaos_duplicate_rate", &C::chaos, &F::duplicate_rate),
+      field("chaos_truncate_rate", &C::chaos, &F::truncate_rate),
+      field("chaos_stall_rate", &C::chaos, &F::stall_rate),
+      field("chaos_stall_us", &C::chaos, &F::stall_us),
+      field("lookup_timeout_ticks", &C::retry, &RetryPolicy::timeout_ticks),
+      field("lookup_max_retries", &C::retry, &RetryPolicy::max_retries),
+      field("trace_enabled", &C::trace, &T::enabled),
+      field("trace_path", &C::trace, &T::path),
+      field("trace_ring_capacity", &C::trace, &T::ring_capacity),
+      field("metrics_enabled", &C::trace, &T::metrics),
+      field("ledger_enabled", &C::trace, &T::ledger),
+  };
+  // Serve-mode per-job overrides (parallel/job.hpp): the `job.*` namespace
+  // mirrors the correction-phase subset of the keys above. Unset keys keep
+  // the server's build-time value.
+  add_job_keys(keys, &C::params, JobOverrides::param_fields());
+  add_job_keys(keys, &C::heuristics, JobOverrides::heuristic_fields());
+  keys.push_back(
+      {"job.deadline_ms",
+       [](RunConfigFile& c, const std::string& v, int line) {
+         c.job.deadline_seconds = parse_double(v, line) / 1000.0;
+       },
+       [](std::ostream& out, std::string_view key, const RunConfigFile& c) {
+         if (c.job.deadline_seconds) {
+           emit(out, key, *c.job.deadline_seconds * 1000.0);
+         }
+       }});
+  keys.push_back(job_retry_field("job.lookup_timeout_ticks",
+                                 &RetryPolicy::timeout_ticks));
+  keys.push_back(
+      job_retry_field("job.lookup_max_retries", &RetryPolicy::max_retries));
+  return keys;
+}
+
+const std::vector<KeySpec>& keys() {
+  static const std::vector<KeySpec> table = make_keys();
+  return table;
+}
 
 /// Levenshtein distance, for the unknown-key suggestion. The key set is
 /// tiny, so the quadratic DP is fine.
@@ -314,9 +279,9 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
 
 /// The valid key closest to `key` in edit distance (ties: table order).
 std::string_view nearest_key(std::string_view key) {
-  std::string_view best = kKeys[0].key;
+  std::string_view best = keys().front().key;
   std::size_t best_distance = edit_distance(key, best);
-  for (const KeySpec& spec : kKeys) {
+  for (const KeySpec& spec : keys()) {
     const std::size_t d = edit_distance(key, spec.key);
     if (d < best_distance) {
       best_distance = d;
@@ -345,13 +310,13 @@ RunConfigFile parse_config_text(const std::string& text) {
     if (ls >> extra) fail(lineno, "unexpected trailing token '" + extra + "'");
 
     const auto spec =
-        std::find_if(std::begin(kKeys), std::end(kKeys),
+        std::find_if(keys().begin(), keys().end(),
                      [&key](const KeySpec& s) { return s.key == key; });
-    if (spec == std::end(kKeys)) {
+    if (spec == keys().end()) {
       fail(lineno, "unknown key '" + key + "' (nearest valid key: '" +
                        std::string(nearest_key(key)) + "')");
     }
-    spec->apply(config, value, lineno);
+    spec->parse(config, value, lineno);
   }
   config.params.validate();
   config.heuristics.validate();
@@ -376,98 +341,7 @@ RunConfigFile parse_config_file(const std::filesystem::path& path) {
 std::string to_config_text(const RunConfigFile& config) {
   std::ostringstream out;
   out << "# reptile-dist run configuration\n";
-  if (!config.fasta_file.empty()) {
-    out << "fasta_file " << config.fasta_file.string() << '\n';
-  }
-  if (!config.qual_file.empty()) {
-    out << "qual_file " << config.qual_file.string() << '\n';
-  }
-  if (!config.output_file.empty()) {
-    out << "output_file " << config.output_file.string() << '\n';
-  }
-  const auto& p = config.params;
-  out << "kmer_length " << p.k << '\n'
-      << "tile_overlap " << p.tile_overlap << '\n'
-      << "kmer_threshold " << p.kmer_threshold << '\n'
-      << "tile_threshold " << p.tile_threshold << '\n'
-      << "canonical " << (p.canonical ? 1 : 0) << '\n'
-      << "qual_threshold " << p.qual_threshold << '\n'
-      << "restrict_to_low_quality " << (p.restrict_to_low_quality ? 1 : 0)
-      << '\n'
-      << "max_positions_per_tile " << p.max_positions_per_tile << '\n'
-      << "max_hamming " << p.max_hamming << '\n'
-      << "dominance_ratio " << p.dominance_ratio << '\n'
-      << "max_corrections_per_read " << p.max_corrections_per_read << '\n'
-      << "chunk_size " << p.chunk_size << '\n'
-      << "prefetch_capacity " << p.prefetch_capacity << '\n'
-      << "remote_cache_capacity " << p.remote_cache_capacity << '\n';
-  const auto& h = config.heuristics;
-  out << "universal " << (h.universal ? 1 : 0) << '\n'
-      << "read_kmers " << (h.read_kmers ? 1 : 0) << '\n'
-      << "allgather_kmers " << (h.allgather_kmers ? 1 : 0) << '\n'
-      << "allgather_tiles " << (h.allgather_tiles ? 1 : 0) << '\n'
-      << "add_remote " << (h.add_remote ? 1 : 0) << '\n'
-      << "batch_reads " << (h.batch_reads ? 1 : 0) << '\n'
-      << "batch_lookups " << (h.batch_lookups ? 1 : 0) << '\n'
-      << "filter_lookups " << (h.filter_lookups ? 1 : 0) << '\n'
-      << "filter_fp_rate " << h.filter_fp_rate << '\n'
-      << "load_balance " << (h.load_balance ? 1 : 0) << '\n'
-      << "partial_replication_group " << h.partial_replication_group << '\n'
-      << "bloom_construction " << (h.bloom_construction ? 1 : 0) << '\n';
-  out << "rtm_check " << (config.rtm_check ? 1 : 0) << '\n';
-  out << "mailbox_fast_path " << (config.mailbox_fast_path ? 1 : 0) << '\n';
-  const auto& c = config.chaos;
-  out << "chaos_seed " << c.seed << '\n'
-      << "chaos_max_delay_us " << c.max_delay_us << '\n'
-      << "chaos_drop_rate " << c.drop_rate << '\n'
-      << "chaos_duplicate_rate " << c.duplicate_rate << '\n'
-      << "chaos_truncate_rate " << c.truncate_rate << '\n'
-      << "chaos_stall_rate " << c.stall_rate << '\n'
-      << "chaos_stall_us " << c.stall_us << '\n';
-  out << "lookup_timeout_ticks " << config.retry.timeout_ticks << '\n'
-      << "lookup_max_retries " << config.retry.max_retries << '\n';
-  const auto& t = config.trace;
-  out << "trace_enabled " << (t.enabled ? 1 : 0) << '\n';
-  if (!t.path.empty()) out << "trace_path " << t.path << '\n';
-  out << "trace_ring_capacity " << t.ring_capacity << '\n'
-      << "metrics_enabled " << (t.metrics ? 1 : 0) << '\n'
-      << "ledger_enabled " << (t.ledger ? 1 : 0) << '\n';
-  const JobOverrides& j = config.job;
-  if (j.qual_threshold) out << "job.qual_threshold " << *j.qual_threshold << '\n';
-  if (j.restrict_to_low_quality) {
-    out << "job.restrict_to_low_quality " << (*j.restrict_to_low_quality ? 1 : 0)
-        << '\n';
-  }
-  if (j.max_positions_per_tile) {
-    out << "job.max_positions_per_tile " << *j.max_positions_per_tile << '\n';
-  }
-  if (j.max_hamming) out << "job.max_hamming " << *j.max_hamming << '\n';
-  if (j.dominance_ratio) {
-    out << "job.dominance_ratio " << *j.dominance_ratio << '\n';
-  }
-  if (j.max_corrections_per_read) {
-    out << "job.max_corrections_per_read " << *j.max_corrections_per_read
-        << '\n';
-  }
-  if (j.chunk_size) out << "job.chunk_size " << *j.chunk_size << '\n';
-  if (j.prefetch_capacity) {
-    out << "job.prefetch_capacity " << *j.prefetch_capacity << '\n';
-  }
-  if (j.universal) out << "job.universal " << (*j.universal ? 1 : 0) << '\n';
-  if (j.batch_lookups) {
-    out << "job.batch_lookups " << (*j.batch_lookups ? 1 : 0) << '\n';
-  }
-  if (j.filter_lookups) {
-    out << "job.filter_lookups " << (*j.filter_lookups ? 1 : 0) << '\n';
-  }
-  if (j.add_remote) out << "job.add_remote " << (*j.add_remote ? 1 : 0) << '\n';
-  if (j.deadline_seconds) {
-    out << "job.deadline_ms " << (*j.deadline_seconds * 1000.0) << '\n';
-  }
-  if (j.retry) {
-    out << "job.lookup_timeout_ticks " << j.retry->timeout_ticks << '\n'
-        << "job.lookup_max_retries " << j.retry->max_retries << '\n';
-  }
+  for (const KeySpec& spec : keys()) spec.emit(out, spec.key, config);
   return out.str();
 }
 

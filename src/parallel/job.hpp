@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "core/params.hpp"
 #include "parallel/heuristics.hpp"
@@ -51,45 +53,52 @@ struct JobOverrides {
   /// Timeout/retry policy override for the job's remote lookups.
   std::optional<RetryPolicy> retry;
 
+  /// Each corrector-knob override paired with the core::CorrectorParams
+  /// member it replaces, listed once: apply_to, any_set and the config
+  /// file's `job.<key>` names (parallel/config_file.cpp) all iterate it.
+  static constexpr auto param_fields() {
+    using J = JobOverrides;
+    using P = core::CorrectorParams;
+    return std::tuple{
+        std::pair{&J::qual_threshold, &P::qual_threshold},
+        std::pair{&J::restrict_to_low_quality, &P::restrict_to_low_quality},
+        std::pair{&J::max_positions_per_tile, &P::max_positions_per_tile},
+        std::pair{&J::max_hamming, &P::max_hamming},
+        std::pair{&J::dominance_ratio, &P::dominance_ratio},
+        std::pair{&J::max_corrections_per_read, &P::max_corrections_per_read},
+        std::pair{&J::chunk_size, &P::chunk_size},
+        std::pair{&J::prefetch_capacity, &P::prefetch_capacity}};
+  }
+
+  /// The same pairing for the correction-phase lookup heuristics.
+  static constexpr auto heuristic_fields() {
+    using J = JobOverrides;
+    using H = Heuristics;
+    return std::tuple{std::pair{&J::universal, &H::universal},
+                      std::pair{&J::batch_lookups, &H::batch_lookups},
+                      std::pair{&J::filter_lookups, &H::filter_lookups},
+                      std::pair{&J::add_remote, &H::add_remote}};
+  }
+
   bool any_set() const noexcept {
-    return qual_threshold || restrict_to_low_quality ||
-           max_positions_per_tile || max_hamming || dominance_ratio ||
-           max_corrections_per_read || chunk_size || prefetch_capacity ||
-           universal || batch_lookups || filter_lookups || add_remote ||
-           deadline_seconds || retry;
+    const auto set = [this](const auto&... pair) {
+      return (... || (this->*pair.first).has_value());
+    };
+    return std::apply(set, param_fields()) ||
+           std::apply(set, heuristic_fields()) || deadline_seconds || retry;
   }
 
   /// The job's effective parameters: the build parameters with this job's
   /// overrides applied. Build-lifetime fields pass through untouched.
   core::CorrectorParams apply_to(const core::CorrectorParams& build) const {
-    core::CorrectorParams p = build;
-    if (qual_threshold) p.qual_threshold = *qual_threshold;
-    if (restrict_to_low_quality) {
-      p.restrict_to_low_quality = *restrict_to_low_quality;
-    }
-    if (max_positions_per_tile) {
-      p.max_positions_per_tile = *max_positions_per_tile;
-    }
-    if (max_hamming) p.max_hamming = *max_hamming;
-    if (dominance_ratio) p.dominance_ratio = *dominance_ratio;
-    if (max_corrections_per_read) {
-      p.max_corrections_per_read = *max_corrections_per_read;
-    }
-    if (chunk_size) p.chunk_size = *chunk_size;
-    if (prefetch_capacity) p.prefetch_capacity = *prefetch_capacity;
-    return p;
+    return overridden(build, param_fields());
   }
 
   /// The job's effective heuristics: build heuristics with the correction-
   /// phase flags swapped. Construction-phase flags pass through untouched —
   /// the spectrum they shaped already exists.
   Heuristics apply_to(const Heuristics& build) const {
-    Heuristics h = build;
-    if (universal) h.universal = *universal;
-    if (batch_lookups) h.batch_lookups = *batch_lookups;
-    if (filter_lookups) h.filter_lookups = *filter_lookups;
-    if (add_remote) h.add_remote = *add_remote;
-    return h;
+    return overridden(build, heuristic_fields());
   }
 
   /// Validates the overrides against the server's build configuration;
@@ -116,6 +125,16 @@ struct JobOverrides {
       throw std::invalid_argument("job: deadline_seconds must be >= 0");
     }
     if (retry) retry->validate();
+  }
+
+ private:
+  template <class Build, class Pairs>
+  Build overridden(Build out, const Pairs& pairs) const {
+    const auto apply_one = [&](const auto& pair) {
+      if (const auto& value = this->*pair.first) out.*pair.second = *value;
+    };
+    std::apply([&](const auto&... pair) { (apply_one(pair), ...); }, pairs);
+    return out;
   }
 };
 

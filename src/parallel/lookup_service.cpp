@@ -132,7 +132,7 @@ void LookupService::serve() {
     scope.emplace(*check, comm_->rank(), rtm::check::ThreadRole::kService);
   }
   obs::Tracer::instance().set_thread(comm_->rank(), "comm");
-  handle_hist_ = obs::Registry::global().histogram("reptile_service_handle_us",
+  handle_hist_ = obs::Registry::global().histogram(obs::kServiceHandleHistogram,
                                                    comm_->rank());
   // Non-universal mode mirrors the paper's probe-then-receive protocol: the
   // thread probes for each request tag to learn the request kind before

@@ -258,7 +258,7 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     }
   }
   comm_wait_.stop();
-  if (obs::Histogram* h = latency_histogram("reptile_batch_prefetch_us",
+  if (obs::Histogram* h = latency_histogram(obs::kBatchPrefetchHistogram,
                                             batch_hist_,
                                             batch_hist_resolved_)) {
     h->record(static_cast<std::uint64_t>(
@@ -365,7 +365,7 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
     }
   }
   comm_wait_.stop();
-  if (obs::Histogram* h = latency_histogram("reptile_lookup_rtt_us",
+  if (obs::Histogram* h = latency_histogram(obs::kLookupRttHistogram,
                                             rtt_hist_, rtt_hist_resolved_)) {
     h->record(static_cast<std::uint64_t>(
         std::max<std::int64_t>(

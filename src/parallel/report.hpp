@@ -1,129 +1,31 @@
 #pragma once
-// Flattening a distributed run into a machine-readable report.
+// Flattening a distributed run into a machine-readable report, and
+// publishing its per-rank counters into the metrics registry.
+//
+// Both read one counter table (report.cpp): each row names a quantity's
+// RunReport column, its Prometheus name and type, and how to read it from
+// a RankReport. Adding a counter is one struct member plus one row.
 
-#include "obs/metrics.hpp"
+#include <cstdint>
+#include <string>
+
 #include "parallel/dist_pipeline.hpp"
 #include "stats/report.hpp"
 
 namespace reptile::parallel {
 
-/// One record per rank with the quantities the paper's figures track.
-/// When the metrics registry is enabled for the run, each record also
-/// carries the latency-histogram summaries (lookup RTT, batch prefetch,
-/// service handle, mailbox wait) — gated on the registry rather than
-/// per-histogram presence so every rank's record has the same columns
-/// (RunReport::add enforces one schema per report).
-inline stats::RunReport to_report(const DistResult& result,
-                                  const std::string& title) {
-  const bool metrics = obs::Registry::global().enabled();
-  const auto add_latency = [](stats::RunReport& rec, const std::string& column,
-                              const obs::HistogramSummary& h) {
-    rec.add(column + "_count", static_cast<double>(h.count))
-        .add(column + "_p50_us", static_cast<double>(h.p50))
-        .add(column + "_p99_us", static_cast<double>(h.p99))
-        .add(column + "_max_us", static_cast<double>(h.max));
-  };
-  stats::RunReport report(title);
-  for (const RankReport& r : result.ranks) {
-    report.record()
-        .add("rank", r.rank)
-        .add("reads", static_cast<double>(r.reads_processed))
-        .add("reads_changed", static_cast<double>(r.reads_changed))
-        .add("substitutions", static_cast<double>(r.substitutions))
-        .add("tiles_untrusted", static_cast<double>(r.tiles_untrusted))
-        .add("kmer_lookups", static_cast<double>(r.lookups.kmer_lookups))
-        .add("tile_lookups", static_cast<double>(r.lookups.tile_lookups))
-        .add("remote_kmer_lookups",
-             static_cast<double>(r.remote.remote_kmer_lookups))
-        .add("remote_tile_lookups",
-             static_cast<double>(r.remote.remote_tile_lookups))
-        .add("requests_served",
-             static_cast<double>(r.service.requests_served))
-        .add("probe_calls", static_cast<double>(r.service.probe_calls))
-        .add("batch_requests", static_cast<double>(r.remote.batch_requests))
-        .add("batch_kmer_ids", static_cast<double>(r.remote.batch_kmer_ids))
-        .add("batch_tile_ids", static_cast<double>(r.remote.batch_tile_ids))
-        .add("avg_batch_size", r.remote.avg_batch_size())
-        .add("dedup_ratio", r.remote.dedup_ratio())
-        .add("prefetch_hits", static_cast<double>(r.remote.prefetch_hits))
-        .add("prefetch_hit_rate", r.remote.prefetch_hit_rate())
-        .add("filter_neg_hits",
-             static_cast<double>(r.remote.filter_neg_hits))
-        .add("filter_false_positives",
-             static_cast<double>(r.remote.filter_false_positives))
-        .add("filter_bytes",
-             static_cast<double>(r.footprint_after_correction.filter_bytes))
-        .add("batch_requests_served",
-             static_cast<double>(r.service.batch_requests))
-        .add("construct_seconds", r.construct_seconds)
-        .add("correct_seconds", r.correct_seconds)
-        .add("comm_seconds", r.comm_seconds)
-        .add("spectrum_bytes",
-             static_cast<double>(r.footprint_after_correction.bytes))
-        .add("construction_peak_bytes",
-             static_cast<double>(r.construction_peak_bytes))
-        .add("sent_msgs", static_cast<double>(r.traffic.sent_msgs()))
-        .add("sent_bytes", static_cast<double>(r.traffic.sent_bytes()))
-        .add("largest_msg_bytes",
-             static_cast<double>(r.traffic.largest_msg_bytes))
-        .add("check_lint_msgs", static_cast<double>(r.check.lint_checked))
-        .add("check_fifo_violations",
-             static_cast<double>(r.check.fifo_violations))
-        .add("check_leaked_msgs",
-             static_cast<double>(r.check.leaked_messages))
-        .add("check_orphan_replies",
-             static_cast<double>(r.check.orphaned_replies))
-        .add("check_unanswered",
-             static_cast<double>(r.check.unanswered_requests))
-        .add("check_max_pending_at_barrier",
-             static_cast<double>(r.check.max_pending_at_barrier))
-        // Fault-injection / retry-protocol columns (all 0 on fault-free
-        // runs with retries disabled).
-        .add("tiles_degraded", static_cast<double>(r.tiles_degraded))
-        .add("lookup_retries", static_cast<double>(r.remote.lookup_retries))
-        .add("lookup_timeouts",
-             static_cast<double>(r.remote.lookup_timeouts))
-        .add("degraded_lookups",
-             static_cast<double>(r.remote.degraded_lookups))
-        .add("stale_replies_suppressed",
-             static_cast<double>(r.remote.stale_replies_suppressed))
-        .add("batch_retries", static_cast<double>(r.remote.batch_retries))
-        .add("batch_abandoned",
-             static_cast<double>(r.remote.batch_abandoned))
-        .add("malformed_requests",
-             static_cast<double>(r.service.malformed_requests))
-        .add("chaos_dropped_msgs",
-             static_cast<double>(r.traffic.dropped_msgs))
-        .add("chaos_duplicated_msgs",
-             static_cast<double>(r.traffic.duplicated_msgs))
-        .add("check_retransmits", static_cast<double>(r.check.retransmits))
-        .add("check_stale_leaks", static_cast<double>(r.check.stale_leaks));
-    if (metrics) {
-      const auto& reg = obs::Registry::global();
-      add_latency(report, "lookup_rtt",
-                  reg.histogram_summary("reptile_lookup_rtt_us", r.rank));
-      add_latency(report, "batch_prefetch",
-                  reg.histogram_summary("reptile_batch_prefetch_us", r.rank));
-      add_latency(report, "service_handle",
-                  reg.histogram_summary("reptile_service_handle_us", r.rank));
-      add_latency(report, "mailbox_wait",
-                  reg.histogram_summary("reptile_mailbox_wait_us", r.rank));
-    }
-    // Resource-ledger columns, present only when the run armed the ledger
-    // (same schema-gating idea as the histogram block above).
-    if (!r.ledger.empty()) {
-      for (const stats::LedgerAccountSample& row : r.ledger) {
-        report.add(std::string("ledger_peak_") + row.account,
-                   static_cast<double>(row.peak_bytes));
-      }
-      report
-          .add("ledger_total_peak_bytes",
-               static_cast<double>(r.ledger_total_peak_bytes))
-          .add("rss_peak_bytes",
-               static_cast<double>(r.ledger_rss_peak_bytes));
-    }
-  }
-  return report;
-}
+/// One record per rank with the quantities the paper's figures track, in
+/// the counter table's column order. When the metrics registry is enabled
+/// for the run, each record also carries the latency-histogram summaries
+/// (lookup RTT, batch prefetch, service handle, mailbox wait) — gated on
+/// the registry rather than per-histogram presence so every rank's record
+/// has the same columns (RunReport::add enforces one schema per report).
+stats::RunReport to_report(const DistResult& result, const std::string& title);
+
+/// Publishes one rank's table counters and gauges into the global metrics
+/// registry, labelled with `report.rank` and, when job >= 0, the serve-mode
+/// job. Zero counters are not registered; gauges always are. No-op while
+/// the registry is disabled.
+void publish_metrics(const RankReport& report, std::int64_t job = -1);
 
 }  // namespace reptile::parallel

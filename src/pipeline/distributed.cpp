@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/protocol_table.hpp"
+#include "parallel/report.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/dist_model.hpp"
 #include "pipeline/stages.hpp"
@@ -89,9 +90,7 @@ void begin_observability(const DistConfig& config) {
 void finish_observability(std::unique_ptr<rtm::World> world,
                           const DistConfig& config,
                           const std::vector<RankReport>& reports) {
-  for (const RankReport& report : reports) {
-    obs::Registry::global().publish_timeline(report, report.rank);
-  }
+  for (const RankReport& report : reports) publish_metrics(report);
   if (obs::ResourceLedger::global().enabled()) {
     obs::publish_ledger_metrics(obs::ResourceLedger::global().snapshot());
   }

@@ -26,6 +26,7 @@
 #include "obs/trace.hpp"
 #include "parallel/admission.hpp"
 #include "parallel/protocol.hpp"
+#include "parallel/report.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/dist_model.hpp"
 #include "pipeline/stages.hpp"
@@ -302,9 +303,7 @@ struct CorrectionServer::Impl {
 
     obs::Registry& registry = obs::Registry::global();
     const auto job_label = static_cast<std::int64_t>(job.id);
-    for (const RankReport& r : out.ranks) {
-      registry.publish_timeline(r, r.rank, job_label);
-    }
+    for (const RankReport& r : out.ranks) publish_metrics(r, job_label);
     if (obs::Counter* c = registry.counter("reptile_jobs_completed")) {
       c->add(1);
     }

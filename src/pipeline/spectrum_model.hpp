@@ -153,10 +153,7 @@ class LocalSpectrumModel final : public SpectrumModel {
 
     void harvest(stats::PhaseTimeline& acc) override {
       core::LookupStats delta = spectrum_->stats();
-      delta.kmer_lookups -= before_.kmer_lookups;
-      delta.kmer_misses -= before_.kmer_misses;
-      delta.tile_lookups -= before_.tile_lookups;
-      delta.tile_misses -= before_.tile_misses;
+      delta -= before_;
       acc.lookups += delta;
     }
 

@@ -229,14 +229,7 @@ void CorrectStage::run(RankContext& ctx) {
     for (auto& r : part) ctx.job.corrected.push_back(std::move(r));
   }
   for (const stats::PhaseTimeline& acc : worker_acc) {
-    ctx.job.report.reads_changed += acc.reads_changed;
-    ctx.job.report.substitutions += acc.substitutions;
-    ctx.job.report.tiles_untrusted += acc.tiles_untrusted;
-    ctx.job.report.tiles_fixed += acc.tiles_fixed;
-    ctx.job.report.tiles_degraded += acc.tiles_degraded;
-    ctx.job.report.reads_deadline_skipped += acc.reads_deadline_skipped;
-    ctx.job.report.lookups += acc.lookups;
-    ctx.job.report.remote += acc.remote;
+    ctx.job.report.add_counters(acc);
     // The per-rank communication time is the wall time any worker spent
     // blocked; with concurrent workers we report the maximum.
     ctx.job.report.comm_seconds =

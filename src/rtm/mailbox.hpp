@@ -341,7 +341,7 @@ class Mailbox {
       const std::int64_t waited_ns = tracer.now_ns() - start_;
       tracer.complete("mailbox", "mailbox:wait", start_);
       if (obs::Histogram* h = obs::Registry::global().histogram(
-              "reptile_mailbox_wait_us", rank_)) {
+              obs::kMailboxWaitHistogram, rank_)) {
         h->record(static_cast<std::uint64_t>(waited_ns < 0 ? 0 : waited_ns) /
                   1000);
       }

@@ -15,12 +15,35 @@
 // SpectrumFootprint) historically lived in core/ and parallel/; they are
 // pure counters with no dependencies, so they moved down here and the old
 // namespaces re-export them under their original names.
+//
+// Each counter struct lists its members once, in `fields()`; the member-wise
+// sum and difference below iterate that list, so adding a counter means
+// adding one member and one list entry.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace reptile::stats {
+
+/// A counter struct: lists its members once in a static `fields()`.
+template <class S>
+concept CounterFields = requires { S::fields(); };
+
+/// Member-wise sum of two counter structs.
+template <CounterFields S>
+constexpr S& operator+=(S& into, const S& from) noexcept {
+  for (const auto member : S::fields()) into.*member += from.*member;
+  return into;
+}
+
+/// Member-wise difference (a delta since a snapshot).
+template <CounterFields S>
+constexpr S& operator-=(S& into, const S& from) noexcept {
+  for (const auto member : S::fields()) into.*member -= from.*member;
+  return into;
+}
 
 /// Lookup-side instrumentation. The paper's evaluation hinges on these
 /// counters (remote tile lookups per rank, misses on non-existent tiles).
@@ -30,12 +53,9 @@ struct LookupStats {
   std::uint64_t tile_lookups = 0;
   std::uint64_t tile_misses = 0;
 
-  LookupStats& operator+=(const LookupStats& o) noexcept {
-    kmer_lookups += o.kmer_lookups;
-    kmer_misses += o.kmer_misses;
-    tile_lookups += o.tile_lookups;
-    tile_misses += o.tile_misses;
-    return *this;
+  static constexpr auto fields() {
+    return std::array{&LookupStats::kmer_lookups, &LookupStats::kmer_misses,
+                      &LookupStats::tile_lookups, &LookupStats::tile_misses};
   }
 };
 
@@ -117,30 +137,19 @@ struct RemoteLookupStats {
                             static_cast<double>(total);
   }
 
-  RemoteLookupStats& operator+=(const RemoteLookupStats& o) noexcept {
-    remote_kmer_lookups += o.remote_kmer_lookups;
-    remote_tile_lookups += o.remote_tile_lookups;
-    remote_kmer_absent += o.remote_kmer_absent;
-    remote_tile_absent += o.remote_tile_absent;
-    reads_table_hits += o.reads_table_hits;
-    group_lookups += o.group_lookups;
-    batch_requests += o.batch_requests;
-    batch_kmer_ids += o.batch_kmer_ids;
-    batch_tile_ids += o.batch_tile_ids;
-    batch_kmer_ids_raw += o.batch_kmer_ids_raw;
-    batch_tile_ids_raw += o.batch_tile_ids_raw;
-    prefetch_hits += o.prefetch_hits;
-    prefetch_misses += o.prefetch_misses;
-    filter_neg_hits += o.filter_neg_hits;
-    filter_false_positives += o.filter_false_positives;
-    lookup_retries += o.lookup_retries;
-    lookup_timeouts += o.lookup_timeouts;
-    degraded_lookups += o.degraded_lookups;
-    stale_replies_suppressed += o.stale_replies_suppressed;
-    malformed_replies += o.malformed_replies;
-    batch_retries += o.batch_retries;
-    batch_abandoned += o.batch_abandoned;
-    return *this;
+  static constexpr auto fields() {
+    using S = RemoteLookupStats;
+    return std::array{&S::remote_kmer_lookups, &S::remote_tile_lookups,
+                      &S::remote_kmer_absent, &S::remote_tile_absent,
+                      &S::reads_table_hits, &S::group_lookups,
+                      &S::batch_requests, &S::batch_kmer_ids,
+                      &S::batch_tile_ids, &S::batch_kmer_ids_raw,
+                      &S::batch_tile_ids_raw, &S::prefetch_hits,
+                      &S::prefetch_misses, &S::filter_neg_hits,
+                      &S::filter_false_positives, &S::lookup_retries,
+                      &S::lookup_timeouts, &S::degraded_lookups,
+                      &S::stale_replies_suppressed, &S::malformed_replies,
+                      &S::batch_retries, &S::batch_abandoned};
   }
 };
 
@@ -161,6 +170,14 @@ struct ServiceStats {
   /// the serve loop. Always 0 on fault-free runs: the exchange completes
   /// before the service starts.
   std::uint64_t filter_stragglers = 0;
+
+  static constexpr auto fields() {
+    using S = ServiceStats;
+    return std::array{&S::requests_served, &S::kmer_requests, &S::tile_requests,
+                      &S::probe_calls, &S::absent_replies, &S::batch_requests,
+                      &S::batch_ids_served, &S::malformed_requests,
+                      &S::filter_stragglers};
+  }
 };
 
 /// Sizes/memory snapshot of the spectrum tables (plus replicas). Sequential
@@ -236,6 +253,24 @@ struct PhaseTimeline {
   std::vector<LedgerAccountSample> ledger;
   std::uint64_t ledger_total_peak_bytes = 0;  ///< hwm of the live total
   std::uint64_t ledger_rss_peak_bytes = 0;    ///< OS cross-check (statm)
+
+  /// The scalar counters above, listed once.
+  static constexpr auto counters() {
+    using S = PhaseTimeline;
+    return std::array{&S::reads_processed, &S::reads_changed, &S::substitutions,
+                      &S::tiles_untrusted, &S::tiles_fixed, &S::tiles_degraded,
+                      &S::reads_deadline_skipped, &S::batches, &S::work_grants};
+  }
+
+  /// Adds another timeline's counters (scalar, lookup, remote, service)
+  /// into this one. Footprints, seconds and samples do not sum; callers
+  /// combine those themselves.
+  void add_counters(const PhaseTimeline& other) noexcept {
+    for (const auto member : counters()) this->*member += other.*member;
+    lookups += other.lookups;
+    remote += other.remote;
+    service += other.service;
+  }
 
   /// The timeline slice of a derived report (assignment target for the
   /// stage graph's accumulated core).

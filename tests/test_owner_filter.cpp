@@ -15,10 +15,12 @@
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "hash/count_table.hpp"
+#include "hash/hashing.hpp"
 #include "hash/owner_filter.hpp"
 #include "rtm_test_seed.hpp"
 
@@ -68,30 +70,53 @@ TEST(OwnerFilter, SmallPackedIdsNeverFalseNegative) {
 
 TEST(OwnerFilter, MeasuredFpRateWithinTwiceConfigured) {
   // 2x headroom covers the blocked-layout inflation the sizing already
-  // compensates for plus sampling noise at 200k probes.
-  for (const double fp : {0.005, 0.01, 0.05}) {
-    const std::size_t n = 50000;
-    const auto keys = random_keys(n, 23);
-    std::unordered_set<std::uint64_t> inserted(keys.begin(), keys.end());
-    OwnerFilter f(n, fp);
+  // compensates for plus sampling noise at 200k probes. `draw` yields probe
+  // keys from the same distribution the filter's keys came from.
+  const auto check = [](const std::vector<std::uint64_t>& keys, double fp,
+                        auto& draw, const std::string& input) {
+    const std::unordered_set<std::uint64_t> inserted(keys.begin(),
+                                                     keys.end());
+    OwnerFilter f(keys.size(), fp);
     for (const auto k : keys) f.insert(k);
-
-    std::mt19937_64 rng(rtm_test::derive(29));
     const std::size_t probes = 200000;
     std::size_t hits = 0;
     for (std::size_t i = 0; i < probes; ++i) {
-      std::uint64_t k = rng();
-      while (inserted.count(k) != 0) k = rng();
+      std::uint64_t k = draw();
+      while (inserted.count(k) != 0) k = draw();
       hits += f.possibly_contains(k) ? 1 : 0;
     }
     const double measured =
         static_cast<double>(hits) / static_cast<double>(probes);
     EXPECT_LE(measured, 2.0 * fp)
-        << "configured " << fp << " measured " << measured;
+        << input << ": configured " << fp << " measured " << measured;
     // Sizing sanity from the other side: a healthy filter is not so
     // overbuilt that the rate collapses to zero (fill stays meaningful).
-    EXPECT_GT(f.fill_ratio(), 0.05);
-    EXPECT_LT(f.fill_ratio(), 0.6);
+    EXPECT_GT(f.fill_ratio(), 0.05) << input;
+    EXPECT_LT(f.fill_ratio(), 0.6) << input;
+  };
+
+  for (const double fp : {0.005, 0.01, 0.05}) {
+    std::mt19937_64 rng(rtm_test::derive(29));
+    check(random_keys(50000, 23), fp, rng, "random keys");
+  }
+
+  // A rank's filter holds, and is probed with, only the keys that rank
+  // owns (owner_of(k, np) == 0 here). The block index must not correlate
+  // with that residue, or only 1/gcd(blocks, np) of the blocks are used.
+  for (const int np : {1, 2, 4, 8}) {
+    std::mt19937_64 rng(rtm_test::derive(31 + np));
+    auto owned = [&rng, np] {
+      std::uint64_t k = rng();
+      while (owner_of(k, np) != 0) k = rng();
+      return k;
+    };
+    std::unordered_set<std::uint64_t> seen;
+    std::vector<std::uint64_t> keys;
+    while (keys.size() < 100000) {
+      const std::uint64_t k = owned();
+      if (seen.insert(k).second) keys.push_back(k);
+    }
+    check(keys, 0.01, owned, "owner-partitioned np=" + std::to_string(np));
   }
 }
 

@@ -1,13 +1,12 @@
 // Unit tests: the prior art's spectrum stores — sorted arrays and the
-// cache-aware (B+1)-ary layout — plus the FrozenSpectrum equivalence.
+// cache-aware (B+1)-ary layout — checked against LocalSpectrum's tables.
 #include "hash/sorted_spectrum.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "core/corrector.hpp"
-#include "core/frozen_spectrum.hpp"
+#include "core/spectrum.hpp"
 #include "seq/dataset.hpp"
 #include "seq/rng.hpp"
 
@@ -117,7 +116,8 @@ TEST(CacheAwareCountArray, BlocksAreCacheLineSized) {
 namespace reptile::core {
 namespace {
 
-TEST(FrozenSpectrum, AllBackendsAnswerIdentically) {
+/// A pruned spectrum over a small synthetic dataset.
+LocalSpectrum pruned_spectrum(std::uint64_t seed) {
   CorrectorParams p;
   p.k = 10;
   p.tile_overlap = 4;
@@ -125,72 +125,42 @@ TEST(FrozenSpectrum, AllBackendsAnswerIdentically) {
   seq::ErrorModelParams errors;
   errors.error_rate_start = 0.005;
   errors.error_rate_end = 0.012;
-  const auto ds = seq::SyntheticDataset::generate(spec, errors, 77);
-
+  const auto ds = seq::SyntheticDataset::generate(spec, errors, seed);
   LocalSpectrum live(p);
   for (const auto& r : ds.reads) live.add_read(r.bases);
   live.prune();
-
-  FrozenSpectrum hash_backend(live, SpectrumBackend::kHashTable);
-  FrozenSpectrum sorted_backend(live, SpectrumBackend::kSortedArray);
-  FrozenSpectrum cache_backend(live, SpectrumBackend::kCacheAware);
-
-  // Probe every live entry plus neighbors.
-  live.kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
-    ASSERT_EQ(hash_backend.kmer_count(id), c);
-    ASSERT_EQ(sorted_backend.kmer_count(id), c);
-    ASSERT_EQ(cache_backend.kmer_count(id), c);
-    const std::uint64_t probe = id ^ 0x5;
-    const auto expect = hash_backend.kmer_count(probe);
-    ASSERT_EQ(sorted_backend.kmer_count(probe), expect);
-    ASSERT_EQ(cache_backend.kmer_count(probe), expect);
-  });
+  return live;
 }
 
-TEST(FrozenSpectrum, CorrectorDecisionsIdenticalAcrossBackends) {
-  CorrectorParams p;
-  p.k = 10;
-  p.tile_overlap = 4;
-  seq::DatasetSpec spec{"fz2", 1200, 70, 1500};
-  seq::ErrorModelParams errors;
-  errors.error_rate_start = 0.004;
-  errors.error_rate_end = 0.012;
-  const auto ds = seq::SyntheticDataset::generate(spec, errors, 78);
-
-  LocalSpectrum live(p);
-  for (const auto& r : ds.reads) live.add_read(r.bases);
-  live.prune();
-
-  TileCorrector corrector(p);
-  auto run_with = [&](SpectrumBackend backend) {
-    FrozenSpectrum frozen(live, backend);
-    std::vector<seq::Read> out = ds.reads;
-    for (auto& r : out) corrector.correct(r, frozen);
-    return out;
-  };
-  const auto via_hash = run_with(SpectrumBackend::kHashTable);
-  const auto via_sorted = run_with(SpectrumBackend::kSortedArray);
-  const auto via_cache = run_with(SpectrumBackend::kCacheAware);
-  EXPECT_EQ(via_hash, via_sorted);
-  EXPECT_EQ(via_hash, via_cache);
+TEST(PriorArtLayouts, AnswerLikeTheCountTable) {
+  const LocalSpectrum live = pruned_spectrum(77);
+  for (const hash::CountTable<>* table : {&live.kmers(), &live.tiles()}) {
+    const auto sorted = hash::SortedCountArray::from_entries(table->entries());
+    const auto cache =
+        hash::CacheAwareCountArray::from_entries(table->entries());
+    // Every live entry plus a neighbour, which is usually absent.
+    table->for_each([&](std::uint64_t id, std::uint32_t c) {
+      ASSERT_EQ(sorted.find(id), c);
+      ASSERT_EQ(cache.find(id), c);
+      const std::uint64_t probe = id ^ 0x5;
+      ASSERT_EQ(sorted.find(probe), table->find(probe));
+      ASSERT_EQ(cache.find(probe), table->find(probe));
+    });
+  }
 }
 
-TEST(FrozenSpectrum, PriorArtLayoutsAreDenser) {
-  CorrectorParams p;
-  p.k = 10;
-  p.tile_overlap = 4;
-  seq::DatasetSpec spec{"fz3", 1000, 60, 2000};
-  const auto ds = seq::SyntheticDataset::generate(spec, {}, 79);
-  LocalSpectrum live(p);
-  for (const auto& r : ds.reads) live.add_read(r.bases);
-  live.prune();
-
-  const FrozenSpectrum hash_backend(live, SpectrumBackend::kHashTable);
-  const FrozenSpectrum sorted_backend(live, SpectrumBackend::kSortedArray);
+TEST(PriorArtLayouts, SortedArraysAreDenser) {
+  const LocalSpectrum live = pruned_spectrum(79);
+  const std::size_t sorted_bytes =
+      hash::SortedCountArray::from_entries(live.kmers().entries())
+          .memory_bytes() +
+      hash::SortedCountArray::from_entries(live.tiles().entries())
+          .memory_bytes();
   // Sorted arrays carry no empty slots; the hash table holds load-factor
   // headroom (the prior art's memory advantage, which the paper trades for
   // lookup speed and in-place construction).
-  EXPECT_LT(sorted_backend.memory_bytes(), hash_backend.memory_bytes());
+  EXPECT_LT(sorted_bytes,
+            live.kmers().memory_bytes() + live.tiles().memory_bytes());
 }
 
 }  // namespace
