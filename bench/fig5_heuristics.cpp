@@ -140,6 +140,7 @@ int main(int argc, char** argv) {
     std::uint64_t substitutions;
     std::uint64_t reads_changed;
     std::uint64_t sent_msgs;
+    std::uint64_t wire_ids;  ///< scalar round trips + vectored IDs sent
   };
   std::vector<JsonRow> json_rows;
   parallel::DistResult batched_result;
@@ -148,10 +149,11 @@ int main(int argc, char** argv) {
     auto result = parallel::run_distributed(ds.reads, config);
     std::uint64_t remote = 0, probes = 0, served = 0, hits = 0;
     std::uint64_t neg_hits = 0, false_positives = 0;
-    std::uint64_t reads_changed = 0, sent_msgs = 0;
+    std::uint64_t reads_changed = 0, sent_msgs = 0, batch_ids = 0;
     std::size_t peak = 0;
     for (const auto& r : result.ranks) {
       remote += r.remote.remote_kmer_lookups + r.remote.remote_tile_lookups;
+      batch_ids += r.remote.batch_ids();
       probes += r.service.probe_calls;
       served += r.service.requests_served;
       hits += r.remote.prefetch_hits;
@@ -173,7 +175,7 @@ int main(int argc, char** argv) {
     if (row.slug != nullptr) {
       json_rows.push_back({row.slug, remote, neg_hits, false_positives,
                            result.total_substitutions(), reads_changed,
-                           sent_msgs});
+                           sent_msgs, remote + batch_ids});
     }
     if (row.slug != nullptr && std::strcmp(row.slug, "batched_lookups") == 0) {
       batched_result = std::move(result);
@@ -198,13 +200,15 @@ int main(int argc, char** argv) {
           out,
           "    \"%s\": {\"remote_lookups\": %llu, \"filter_neg_hits\": %llu, "
           "\"filter_false_positives\": %llu, \"substitutions\": %llu, "
-          "\"reads_changed\": %llu, \"sent_msgs\": %llu}%s\n",
+          "\"reads_changed\": %llu, \"sent_msgs\": %llu, "
+          "\"wire_ids\": %llu}%s\n",
           r.slug, static_cast<unsigned long long>(r.remote_lookups),
           static_cast<unsigned long long>(r.filter_neg_hits),
           static_cast<unsigned long long>(r.filter_false_positives),
           static_cast<unsigned long long>(r.substitutions),
           static_cast<unsigned long long>(r.reads_changed),
           static_cast<unsigned long long>(r.sent_msgs),
+          static_cast<unsigned long long>(r.wire_ids),
           i + 1 < json_rows.size() ? "," : "");
     }
     std::fprintf(out, "  }\n}\n");

@@ -19,6 +19,7 @@
 // sequential baseline and every distributed configuration produce
 // bit-identical corrected reads — the property the integration tests pin.
 
+#include <array>
 #include <cstdint>
 
 #include "core/params.hpp"
@@ -40,6 +41,13 @@ struct ReadCorrection {
   bool changed() const noexcept { return substitutions > 0; }
 };
 
+/// Where a resumable correction of one read stands: the next tile to
+/// decide and the outcome of the tiles decided so far.
+struct ReadCursor {
+  int next_tile = 0;  ///< index into the read's tile_positions()
+  ReadCorrection result;
+};
+
 class TileCorrector {
  public:
   explicit TileCorrector(const CorrectorParams& params);
@@ -48,10 +56,32 @@ class TileCorrector {
   const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
 
   /// Corrects `read` in place against `spectrum`. The read's qualities are
-  /// left untouched (Reptile emits corrected bases only).
+  /// left untouched (Reptile emits corrected bases only). Resumes until
+  /// done, so `spectrum` must answer every lookup eventually: a view that
+  /// defers lookups is driven through resume() by its round loop instead.
   ReadCorrection correct(seq::Read& read, SpectrumView& spectrum) const;
 
+  /// Walks `read`'s tiles from `cursor` on. Returns true when the read is
+  /// done. Returns false when a tile SUSPENDED because `spectrum` deferred
+  /// a lookup its decision needs (SpectrumView::deferred_lookups advanced):
+  /// the tile is left unmodified, `cursor` points at it, and a later call
+  /// replays it once the deferred counts are in. Suspend points: a deferred
+  /// gate; a deferred HD1 candidate (before HD2 is enumerated); a deferred
+  /// HD2 candidate. A tile is decided only in a pass whose every lookup
+  /// was answered, so the result equals an uninterrupted correct().
+  bool resume(seq::Read& read, SpectrumView& spectrum,
+              ReadCursor& cursor) const;
+
  private:
+  /// try_fix_tile result: the tile's evidence is incomplete, decide later.
+  static constexpr int kSuspended = -1;
+
+  /// Tile offsets picked for substitution (at most one tile's worth).
+  struct Positions {
+    std::array<int, seq::kMaxK> off;
+    int size = 0;
+  };
+
   /// One enumeration candidate that passed acceptance.
   struct Candidate {
     seq::tile_id_t tile = 0;
@@ -65,13 +95,14 @@ class TileCorrector {
 
   /// Attempts to fix the untrusted tile `tile` at read offset `tile_pos`.
   /// On success applies the substitutions to `read` and returns the number
-  /// of bases changed (0 = no unambiguous fix found). `degraded_before` is
-  /// the spectrum's degraded_lookups() value from before the tile's gate
-  /// lookup: if any lookup degraded since then, the candidate evidence is
-  /// unreliable and no substitution is applied.
+  /// of bases changed (0 = no unambiguous fix found, kSuspended = a lookup
+  /// deferred since `deferred_before`). `degraded_before` is the spectrum's
+  /// degraded_lookups() value from before the tile's gate lookup: if any
+  /// lookup degraded since then, the candidate evidence is unreliable and
+  /// no substitution is applied.
   int try_fix_tile(seq::Read& read, int tile_pos, seq::tile_id_t tile,
-                   SpectrumView& spectrum,
-                   std::uint64_t degraded_before) const;
+                   SpectrumView& spectrum, std::uint64_t degraded_before,
+                   std::uint64_t deferred_before) const;
 
   /// True when `tile` is supported: tile count above threshold and both
   /// constituent k-mers solid. Returns the tile count through `count`.
@@ -81,7 +112,7 @@ class TileCorrector {
   /// Selects up to max_positions_per_tile tile offsets, lowest quality
   /// first (ties by offset).
   void pick_positions(const seq::Read& read, int tile_pos,
-                      std::vector<int>& out) const;
+                      Positions& out) const;
 
   CorrectorParams params_;
   seq::TileCodec tile_codec_;

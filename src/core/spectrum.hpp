@@ -46,6 +46,23 @@ class SpectrumView {
   /// snapshots this around every tile decision: a position whose evidence
   /// involved a degraded lookup is skipped, never corrected on a guess.
   virtual std::uint64_t degraded_lookups() const { return 0; }
+
+  /// Monotone count of lookups DEFERRED to a later round instead of being
+  /// answered: the view returned a placeholder 0 and will fetch the true
+  /// count in bulk (parallel::RemoteSpectrumView in batched rounds). Local
+  /// views never defer. A tile decision that saw this advance suspends
+  /// (TileCorrector::resume) and is replayed once the round has run.
+  virtual std::uint64_t deferred_lookups() const { return 0; }
+
+  /// Opens one tile decision and returns deferred_lookups() (a view that
+  /// defers overrides both). A deferring view also marks where its logical
+  /// lookup counters stand, so that suspend_tile() can drop the suspended
+  /// tile's lookups: they are made again, and counted then, by the pass
+  /// that decides the tile.
+  virtual std::uint64_t begin_tile() { return 0; }
+
+  /// The tile opened by the last begin_tile() suspended.
+  virtual void suspend_tile() {}
 };
 
 /// Both spectra in local memory, with construction helpers.

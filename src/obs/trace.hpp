@@ -21,7 +21,8 @@
 //   stage   / stage:<name>       one pipeline stage of one rank ('X')
 //   chunk   / chunk:build|correct one chunk through a stage ('X')
 //   lookup  / lookup_rtt         scalar remote lookup round trip ('X')
-//   lookup  / batch_prefetch     one vectored prefetch round trip ('X')
+//   lookup  / batch_prefetch     one vectored lookup round of a chunk
+//                                ('X'; arg round, 0 = the gate prefetch)
 //   service / serve:<kind>       one request handled by a comm thread ('X')
 //   mailbox / mailbox:wait       a blocking receive that actually blocked
 //   chaos   / chaos:<fault>      fault-injection decision ('i', instant)

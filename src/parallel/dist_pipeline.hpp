@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/corrector.hpp"
@@ -81,6 +82,10 @@ struct DistResult {
   /// (i.e. in original file order, regardless of load balancing).
   std::vector<seq::Read> corrected;
   std::vector<RankReport> ranks;
+  /// The run checker's audit text (rtm::check::RunChecker::final_report):
+  /// each leaked message with its envelope and sequence number, unanswered
+  /// requests, and the flight recorder. Empty when checking is off.
+  std::string check_report;
 
   std::uint64_t total_substitutions() const {
     return stats::field_total(ranks, &stats::PhaseTimeline::substitutions);

@@ -38,13 +38,13 @@ struct Heuristics {
   /// reads and empty the reads tables, capping construction memory.
   bool batch_reads = false;
 
-  /// Batched remote lookups (extension beyond the paper, see DESIGN.md):
-  /// before correcting a chunk, every non-locally-resolvable k-mer/tile ID
-  /// of the chunk's reads is deduplicated, bucketed by owning rank, and
-  /// fetched with one vectored request per owner. Replies fill a bounded
-  /// chunk-local prefetch cache consulted before the scalar remote
-  /// fallback, so the correction inner loop is latency-bound only on the
-  /// rare mid-correction candidate miss. Output is bit-identical to the
+  /// Batched remote lookups (extension beyond the paper, see DESIGN.md
+  /// §4b): each chunk is corrected in rounds. Round 0 fetches the chunk's
+  /// non-locally-resolvable gate tiles; each later round fetches the
+  /// lookups the last correction pass deferred. A round is one vectored
+  /// request per owner and kind, and replies fill a bounded chunk-local
+  /// cache consulted before the scalar remote fallback, which only runs
+  /// once a round makes no progress. Output is bit-identical to the
   /// scalar protocol.
   bool batch_lookups = false;
 

@@ -68,56 +68,65 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
   if (!heur_.batch_lookups) return;
   prefetch_kmer_.clear();
   prefetch_tile_.clear();
+  deferring_ = false;
   const int np = comm_->size();
   if (np <= 1 || heur_.fully_replicated()) return;
+  kmer_queue_.resize(static_cast<std::size_t>(np));
+  tile_queue_.resize(static_cast<std::size_t>(np));
 
-  kmer_scratch_.clear();
+  // Round 0 asks for the gate tiles only: a read's own k-mers are needed
+  // just as the constituents of candidate tiles, and later rounds ask for
+  // exactly those.
   tile_scratch_.clear();
   for (const seq::Read& r : batch) {
-    spectrum_->extractor().extract(r.bases, kmer_scratch_, tile_scratch_);
+    spectrum_->extractor().tile_codec().extract(r.bases, tile_scratch_);
   }
-
-  // Filter to the remote-needing IDs, dedupe (the cache doubles as the
-  // seen-set: a sentinel entry marks "requested, reply pending" and is
-  // overwritten — CountTable::increment — by the real count on arrival).
-  // Buckets hold each owner's deduped ID vector.
-  const std::size_t cap = spectrum_->params().prefetch_capacity;
-  std::vector<std::vector<std::uint64_t>> kmer_buckets(
-      static_cast<std::size_t>(np));
-  std::vector<std::vector<std::uint64_t>> tile_buckets(
-      static_cast<std::size_t>(np));
-  hash::CountTable<> seen_kmer;
-  hash::CountTable<> seen_tile;
-  std::size_t total = 0;
-  auto collect = [&](std::uint64_t id, LookupKind kind) {
+  for (seq::tile_id_t id : tile_scratch_) {
+    id = spectrum_->extractor().canon_tile(id);
     int owner = 0;
-    if (!needs_remote(id, kind, owner)) return;
-    if (heur_.filter_lookups) {
-      // Filter-definite absences never reach the wire; lookup() answers
-      // them (and counts filter_neg_hits) from the same immutable filter.
-      // Skipped before the raw counter so dedup_ratio keeps measuring
-      // dedup alone, unchanged by filtering.
-      const auto fa = kind == LookupKind::kKmer
-                          ? spectrum_->filter_kmer(id, owner)
-                          : spectrum_->filter_tile(id, owner);
-      if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) return;
+    if (!needs_remote(id, LookupKind::kTile, owner)) continue;
+    // Filter-definite absences never reach the wire; lookup() answers
+    // them (and counts filter_neg_hits) from the same immutable filter.
+    // Skipped before the raw counter so dedup_ratio keeps measuring
+    // dedup alone, unchanged by filtering.
+    if (heur_.filter_lookups &&
+        spectrum_->filter_tile(id, owner) ==
+            DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
+      continue;
     }
-    if (kind == LookupKind::kKmer) {
-      ++remote_.batch_kmer_ids_raw;
-    } else {
-      ++remote_.batch_tile_ids_raw;
+    tile_queue_[static_cast<std::size_t>(owner)].push_back(id);
+  }
+  round_ = 0;
+  run_round();
+  deferring_ = true;
+}
+
+void RemoteSpectrumView::fetch_round() {
+  if (deferring_ && run_round() == 0) deferring_ = false;
+}
+
+std::size_t RemoteSpectrumView::run_round() {
+  const int np = comm_->size();
+  const int round = round_++;
+  // Dedupe each queue and cap the round at the cache's remaining room;
+  // what does not fit is deferred again, and a round that fits nothing
+  // ends deferral.
+  const std::size_t cap = spectrum_->params().prefetch_capacity;
+  std::size_t room = cap - std::min(cap, cached_entries());
+  std::size_t total = 0;
+  for (auto* queues : {&kmer_queue_, &tile_queue_}) {
+    for (std::vector<std::uint64_t>& ids : *queues) {
+      (queues == &kmer_queue_ ? remote_.batch_kmer_ids_raw
+                              : remote_.batch_tile_ids_raw) += ids.size();
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      if (ids.size() > room) ids.resize(room);
+      room -= ids.size();
+      total += ids.size();
     }
-    if (total >= cap) return;  // bound the chunk cache; rest go scalar
-    auto& seen = kind == LookupKind::kKmer ? seen_kmer : seen_tile;
-    if (seen.contains(id)) return;
-    seen.increment(id);
-    auto& buckets = kind == LookupKind::kKmer ? kmer_buckets : tile_buckets;
-    buckets[static_cast<std::size_t>(owner)].push_back(id);
-    ++total;
-  };
-  for (seq::kmer_id_t id : kmer_scratch_) collect(id, LookupKind::kKmer);
-  for (seq::tile_id_t id : tile_scratch_) collect(id, LookupKind::kTile);
-  if (total == 0) return;
+  }
+  const std::size_t cached_before = cached_entries();
+  if (total == 0) return 0;
 
   // One vectored request per owner per kind, all sent before any reply is
   // awaited so the owners' communication threads overlap their work.
@@ -129,6 +138,7 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
   };
   std::vector<Pending> pending;
   obs::SpanScope span("lookup", "batch_prefetch");
+  span.arg("round", static_cast<std::uint64_t>(round));
   const std::int64_t prefetch_start = obs::Tracer::instance().now_ns();
   const auto send_batch = [&](const Pending& p) {
     // Zero-copy request: encode the header + ID vector straight into an
@@ -164,10 +174,9 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
       }
     }
   };
-  send_buckets(kmer_buckets, LookupKind::kKmer);
-  send_buckets(tile_buckets, LookupKind::kTile);
-  span.arg("requests", pending.size());
-  span.arg("ids", total);
+  send_buckets(kmer_queue_, LookupKind::kKmer);
+  send_buckets(tile_queue_, LookupKind::kTile);
+  span.arg("ids", total);  // spans carry two args: round and ids
 
   rtm::check::RunChecker* check = comm_->world().checker();
   comm_wait_.start();
@@ -250,8 +259,9 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
       if (got) break;
       ++remote_.lookup_timeouts;
       if (attempt >= retry_.max_retries) {
-        // Abandon this batch: its IDs simply miss the prefetch cache and
-        // fall through to the (individually retried) scalar path.
+        // Abandon this batch: its IDs miss the cache and are deferred
+        // again; once a round adds nothing they take the (individually
+        // retried) scalar path.
         ++remote_.batch_abandoned;
         break;
       }
@@ -266,6 +276,10 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
             obs::Tracer::instance().now_ns() - prefetch_start, 0) /
         1000));
   }
+  for (auto* queues : {&kmer_queue_, &tile_queue_}) {
+    for (std::vector<std::uint64_t>& ids : *queues) ids.clear();
+  }
+  return cached_entries() - cached_before;
 }
 
 std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
@@ -463,10 +477,32 @@ std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
       ++remote_.prefetch_hits;
       return *c;
     }
+    if (deferring_) {
+      // The chunk's rounds are running: fetch it with the next one.
+      (is_kmer ? kmer_queue_ : tile_queue_)[static_cast<std::size_t>(owner)]
+          .push_back(id);
+      ++deferred_;
+      return 0;
+    }
     ++remote_.prefetch_misses;
   }
 
   return remote_lookup(owner, id, kind, filter_said_maybe);
+}
+
+std::uint64_t RemoteSpectrumView::begin_tile() {
+  if (deferring_) {
+    stats_mark_ = stats_;
+    remote_mark_ = remote_;
+  }
+  return deferred_;
+}
+
+void RemoteSpectrumView::suspend_tile() {
+  // The suspended tile's lookups are made again by the pass that decides
+  // it; only that pass counts them.
+  stats_ = stats_mark_;
+  remote_ = remote_mark_;
 }
 
 std::uint32_t RemoteSpectrumView::kmer_count(seq::kmer_id_t id) {

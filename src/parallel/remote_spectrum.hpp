@@ -24,9 +24,11 @@
 //                               — and answers locally; "maybe" falls
 //                               through and pays the wire)
 //   6. prefetch cache          (batch_lookups extension: chunk-local counts
-//                               fetched ahead of correction with one
-//                               vectored request per owner; counts here are
-//                               verbatim remote replies, so hits are exact)
+//                               fetched in rounds with one vectored request
+//                               per owner; counts here are verbatim remote
+//                               replies, so hits are exact. A miss while the
+//                               chunk's rounds run is deferred to the next
+//                               round instead of going to step 7)
 //   7. remote request/reply    (blocking; reply -1 maps to count 0);
 //      with add_remote the reply is cached into the reads table (shared,
 //      single worker) or this worker's prefetch cache (multi-worker).
@@ -69,14 +71,30 @@ class RemoteSpectrumView final : public core::SpectrumView {
                      RetryPolicy retry = {},
                      const Heuristics* heur_override = nullptr);
 
-  /// Batched-lookup prefetch (batch_lookups heuristic; no-op otherwise):
-  /// scans `batch` once, extracts every k-mer and tile ID, filters out the
-  /// locally resolvable ones (same chain as lookup()), dedupes, buckets by
-  /// owning rank, and issues one vectored request per owner per kind.
-  /// Replies repopulate the chunk-local prefetch cache (cleared first, and
-  /// capped at core::CorrectorParams::prefetch_capacity IDs per chunk).
-  /// Call once per chunk, before correcting its reads.
+  /// Round 0 of a chunk's batched lookups (batch_lookups heuristic; no-op
+  /// otherwise): scans `batch` once, extracts every gate tile (the tiles at
+  /// TileCodec::tile_positions), filters out the locally resolvable ones
+  /// (same chain as lookup()), dedupes, buckets by owning rank, and issues
+  /// one vectored request per owner. Replies repopulate the chunk-local
+  /// prefetch cache (cleared first, and capped at
+  /// core::CorrectorParams::prefetch_capacity IDs per chunk). Call once per
+  /// chunk, before correcting its reads.
+  ///
+  /// It also opens the chunk's later rounds: until a round makes no
+  /// progress, a lookup that would go remote and misses the cache is
+  /// DEFERRED — recorded for the next fetch_round(), answered with a
+  /// placeholder 0, and counted in deferred_lookups() — so the corrector
+  /// must be driven through TileCorrector::resume() with fetch_round()
+  /// between passes.
   void prefetch_chunk(const seq::ReadBatch& batch);
+
+  /// Sends the lookups deferred since the last round as one vectored
+  /// request per owner and kind and waits for the replies. A round that
+  /// adds nothing new to the chunk cache (prefetch_capacity reached, or
+  /// every batch abandoned after retries) ends deferral for the chunk: the
+  /// remaining lookups then take the scalar path, with its retries and
+  /// degradation guard.
+  void fetch_round();
 
   std::uint32_t kmer_count(seq::kmer_id_t id) override;
   std::uint32_t tile_count(seq::tile_id_t id) override;
@@ -88,6 +106,10 @@ class RemoteSpectrumView final : public core::SpectrumView {
   std::uint64_t degraded_lookups() const override {
     return remote_.degraded_lookups;
   }
+
+  std::uint64_t deferred_lookups() const override { return deferred_; }
+  std::uint64_t begin_tile() override;
+  void suspend_tile() override;
 
   const RemoteLookupStats& remote_stats() const noexcept { return remote_; }
 
@@ -108,6 +130,16 @@ class RemoteSpectrumView final : public core::SpectrumView {
 
   /// Inserts into the chunk-local cache, respecting prefetch_capacity.
   void cache_local(std::uint64_t id, LookupKind kind, std::uint32_t count);
+
+  std::size_t cached_entries() const noexcept {
+    return prefetch_kmer_.size() + prefetch_tile_.size();
+  }
+
+  /// Sends the queued IDs (deduped, capped at the cache's remaining room)
+  /// as one vectored request per owner and kind, awaits the replies into
+  /// the chunk cache, and empties the queues. Returns the number of cache
+  /// entries the round added.
+  std::size_t run_round();
 
   /// Lazily resolved latency histogram (nullptr when metrics are off).
   /// Cached per view: registry lookups lock a mutex, which a per-lookup
@@ -140,9 +172,18 @@ class RemoteSpectrumView final : public core::SpectrumView {
   hash::CountTable<> prefetch_kmer_;
   hash::CountTable<> prefetch_tile_;
 
-  // Scratch reused across prefetch_chunk calls. (Request encoding needs no
-  // scratch anymore: batches are built in place in arena payloads.)
-  std::vector<seq::kmer_id_t> kmer_scratch_;
+  // Round state. Queues are indexed by owning rank and hold the IDs the
+  // next round requests (duplicates allowed; run_round dedupes). The marks
+  // are the counters at the last begin_tile(): during a deferring pass
+  // only the logical counters move (lookups, local hits, cache hits), so
+  // suspend_tile() restores both structs whole.
+  bool deferring_ = false;
+  int round_ = 0;
+  std::uint64_t deferred_ = 0;
+  core::LookupStats stats_mark_;
+  RemoteLookupStats remote_mark_;
+  std::vector<std::vector<std::uint64_t>> kmer_queue_;
+  std::vector<std::vector<std::uint64_t>> tile_queue_;
   std::vector<seq::tile_id_t> tile_scratch_;
 };
 

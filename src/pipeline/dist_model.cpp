@@ -56,6 +56,8 @@ class DistSpectrumModel::Handle final : public WorkerHandle {
     view_.prefetch_chunk(batch);
   }
 
+  void fetch_round() override { view_.fetch_round(); }
+
   void harvest(stats::PhaseTimeline& acc) override {
     acc.lookups += view_.stats();
     acc.remote += view_.remote_stats();

@@ -54,21 +54,25 @@ void rank_main(rtm::Comm& comm, seq::ReadSource& raw_source,
 }
 
 DistResult merge_results(std::vector<std::vector<seq::Read>> corrected_per_rank,
-                         std::vector<RankReport> reports) {
+                         std::vector<RankReport> reports,
+                         std::string check_report) {
   DistResult result;
   result.ranks = std::move(reports);
   result.corrected = pipeline::MergeStage::run(std::move(corrected_per_rank));
+  result.check_report = std::move(check_report);
   return result;
 }
 
-/// Copies the finalized per-rank audit counters into the reports.
-void apply_check_snapshots(rtm::World& world,
-                           std::vector<RankReport>& reports) {
+/// Copies the finalized per-rank audit counters into the reports and
+/// returns the audit text.
+std::string apply_check_snapshots(rtm::World& world,
+                                  std::vector<RankReport>& reports) {
   rtm::check::RunChecker* check = world.checker();
-  if (check == nullptr) return;
+  if (check == nullptr) return "";
   for (RankReport& report : reports) {
     report.check = check->snapshot(report.rank);
   }
+  return check->final_report();
 }
 
 /// Applies the run's observability configuration. Called unconditionally at
@@ -155,10 +159,11 @@ DistResult run_distributed(const std::vector<seq::Read>& reads,
     seq::SliceReadSource source(reads, begin, end);
     rank_main(comm, source, config, corrected_per_rank, reports);
   }, resolve_run_options(config));
-  apply_check_snapshots(*world, reports);
+  std::string audit = apply_check_snapshots(*world, reports);
   finish_observability(std::move(world), config, reports);
 
-  return merge_results(std::move(corrected_per_rank), std::move(reports));
+  return merge_results(std::move(corrected_per_rank), std::move(reports),
+                       std::move(audit));
 }
 
 DistResult run_distributed_files(const std::filesystem::path& fasta,
@@ -176,10 +181,11 @@ DistResult run_distributed_files(const std::filesystem::path& fasta,
     seq::PartitionedReadSource source(fasta, qual, comm.rank(), comm.size());
     rank_main(comm, source, config, corrected_per_rank, reports);
   }, resolve_run_options(config));
-  apply_check_snapshots(*world, reports);
+  std::string audit = apply_check_snapshots(*world, reports);
   finish_observability(std::move(world), config, reports);
 
-  return merge_results(std::move(corrected_per_rank), std::move(reports));
+  return merge_results(std::move(corrected_per_rank), std::move(reports),
+                       std::move(audit));
 }
 
 }  // namespace reptile::parallel

@@ -31,11 +31,16 @@ class WorkerHandle {
   /// The SpectrumView the corrector runs against.
   virtual core::SpectrumView& view() = 0;
 
-  /// batch_lookups hook: fetch the chunk's remote-needing IDs ahead of
-  /// correction. No-op for local models.
+  /// batch_lookups hook, round 0: fetch the chunk's remote-needing gate
+  /// tiles ahead of correction. No-op for local models.
   virtual void prefetch_chunk(const seq::ReadBatch& batch) {
     (void)batch;
   }
+
+  /// batch_lookups hook, later rounds: fetch the lookups view() deferred
+  /// while reads of the chunk suspended. No-op for local models (whose
+  /// views never defer).
+  virtual void fetch_round() {}
 
   /// Folds this worker's lookup counters into its per-worker accumulator
   /// after the chunk loop (CorrectStage then merges accumulators: counters

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -179,6 +180,8 @@ void CorrectStage::run(RankContext& ctx) {
     stats::PhaseTimeline& acc = worker_acc[static_cast<std::size_t>(slot)];
     auto& corrected = per_worker[static_cast<std::size_t>(slot)];
     seq::ReadBatch local_batch;
+    std::vector<core::ReadCursor> cursors;
+    std::vector<std::size_t> unfinished;
     while (true) {
       {
         std::lock_guard lock(stream_mutex);
@@ -196,15 +199,32 @@ void CorrectStage::run(RankContext& ctx) {
       }
       obs::SpanScope span("chunk", "chunk:correct");
       span.arg("reads", local_batch.size());
+      // Rounds: each pass resumes the reads that suspended on a deferred
+      // lookup, and each round fetches what the pass deferred. Local views
+      // never defer, so their chunks take one pass.
       handle->prefetch_chunk(local_batch);
-      for (seq::Read& r : local_batch) {
-        const core::ReadCorrection rc = corrector.correct(r, handle->view());
+      cursors.assign(local_batch.size(), core::ReadCursor{});
+      unfinished.resize(local_batch.size());
+      std::iota(unfinished.begin(), unfinished.end(), std::size_t{0});
+      while (true) {
+        std::size_t kept = 0;
+        for (const std::size_t i : unfinished) {
+          if (!corrector.resume(local_batch[i], handle->view(), cursors[i])) {
+            unfinished[kept++] = i;
+          }
+        }
+        unfinished.resize(kept);
+        if (unfinished.empty()) break;
+        handle->fetch_round();
+      }
+      for (std::size_t i = 0; i < local_batch.size(); ++i) {
+        const core::ReadCorrection& rc = cursors[i].result;
         if (rc.changed()) ++acc.reads_changed;
         acc.substitutions += static_cast<std::uint64_t>(rc.substitutions);
         acc.tiles_untrusted += static_cast<std::uint64_t>(rc.tiles_untrusted);
         acc.tiles_fixed += static_cast<std::uint64_t>(rc.tiles_fixed);
         acc.tiles_degraded += static_cast<std::uint64_t>(rc.tiles_degraded);
-        corrected.push_back(std::move(r));
+        corrected.push_back(std::move(local_batch[i]));
       }
     }
     handle->harvest(acc);

@@ -887,6 +887,22 @@ bool RunChecker::leak_is_stale(int rank, const Message& m) {
   return it->second.answered.contains(seq) || it->second.dropped.contains(seq);
 }
 
+std::string RunChecker::seq_note(const Message& m) const {
+  const TagRule* rule = rule_for(m.tag);
+  if (rule == nullptr) return "";
+  std::uint64_t seq = 0;
+  bool ok = false;
+  if (rule->dir == TagDir::kReply) {
+    ok = rule->seq_of != nullptr && rule->seq_of(m.payload, &seq);
+  } else if (rule->pair != nullptr) {
+    int reply_tag = 0;
+    std::size_t reply_bytes = 0;
+    std::string err;
+    ok = rule->pair(m.payload, &reply_tag, &reply_bytes, &seq, &err);
+  }
+  return ok ? ", seq=" + std::to_string(seq) : "";
+}
+
 void RunChecker::finalize() {
   stop_watchdog();
   if (finalized_) return;
@@ -915,8 +931,9 @@ void RunChecker::finalize() {
         const bool orphan = is_reply_tag(m.tag);
         if (orphan) ++extra.orphaned_replies;
         out << "rank " << r << ": leaked message ("
-            << envelope(m.source, m.tag) << ", " << m.payload.size()
-            << " bytes)" << (orphan ? " — orphaned reply" : "") << '\n';
+            << envelope(m.source, m.tag) << seq_note(m) << ", "
+            << m.payload.size() << " bytes)"
+            << (orphan ? " — orphaned reply" : "") << '\n';
       });
     }
   }

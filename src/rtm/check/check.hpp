@@ -328,6 +328,10 @@ class RunChecker {
   /// retry/duplication protocol (its seq already answered or its request
   /// copy dropped)? Takes lint_mutex_.
   bool leak_is_stale(int rank, const Message& m);
+
+  /// Finalize helper: ", seq=N" for a message whose tag rule can read its
+  /// protocol sequence number, else empty.
+  std::string seq_note(const Message& m) const;
   ThreadInfo& thread_entry_locked(int rank);
   void note_locked(std::string text);
   void stop_watchdog();

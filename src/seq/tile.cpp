@@ -36,11 +36,10 @@ kmer_id_t TileCodec::second_kmer(tile_id_t id) const {
 }
 
 std::vector<int> TileCodec::tile_positions(int read_len) const {
-  std::vector<int> out;
-  if (read_len < tile_len_) return out;
-  int pos = 0;
-  for (; pos + tile_len_ <= read_len; pos += step_) out.push_back(pos);
-  if (out.back() + tile_len_ < read_len) out.push_back(read_len - tile_len_);
+  std::vector<int> out(static_cast<std::size_t>(num_tiles(read_len)));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = tile_start(static_cast<int>(i), read_len);
+  }
   return out;
 }
 

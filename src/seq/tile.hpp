@@ -87,6 +87,20 @@ class TileCodec {
   /// when needed. Empty when read_len < tile_len.
   std::vector<int> tile_positions(int read_len) const;
 
+  /// tile_positions(read_len).size(), without building the vector.
+  int num_tiles(int read_len) const noexcept {
+    if (read_len < tile_len_) return 0;
+    const int strided = (read_len - tile_len_) / step_ + 1;
+    return strided + ((strided - 1) * step_ + tile_len_ < read_len ? 1 : 0);
+  }
+
+  /// tile_positions(read_len)[index], without building the vector.
+  /// Precondition: 0 <= index < num_tiles(read_len).
+  int tile_start(int index, int read_len) const noexcept {
+    const int pos = index * step_;
+    return pos + tile_len_ <= read_len ? pos : read_len - tile_len_;
+  }
+
   /// Extracts all tile IDs of a read (at tile_positions()) into `out`;
   /// returns the number appended.
   std::size_t extract(std::string_view read, std::vector<tile_id_t>& out) const;

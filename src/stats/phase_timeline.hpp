@@ -69,12 +69,13 @@ struct RemoteLookupStats {
   std::uint64_t group_lookups = 0;       ///< resolved by partial replication
 
   // batch_lookups extension counters. The dedup counts are kept per kind
-  // because chunk dedup is per kind too (seen-sets per table): a numeric ID
-  // appearing in both the k-mer and the tile request vectors of one chunk
-  // is two distinct spectrum entries and must count in both tables — a
-  // merged counter would hide a cross-kind accounting bug (regression-
-  // tested in test_batch_lookup.cpp).
-  std::uint64_t batch_requests = 0;      ///< vectored prefetch messages sent
+  // because round dedup is per kind too (one queue per table): a numeric ID
+  // appearing in both the k-mer and the tile requests of one round is two
+  // distinct spectrum entries and must count in both tables — a merged
+  // counter would hide a cross-kind accounting bug (regression-tested in
+  // test_batch_lookup.cpp).
+  std::uint64_t batch_requests = 0;      ///< vectored requests sent (one per
+                                         ///< owner, kind and round)
   std::uint64_t batch_kmer_ids = 0;      ///< deduped k-mer IDs sent
   std::uint64_t batch_tile_ids = 0;      ///< deduped tile IDs sent
   std::uint64_t batch_kmer_ids_raw = 0;  ///< remote-needing k-mer IDs pre-dedup
@@ -108,7 +109,7 @@ struct RemoteLookupStats {
     return batch_kmer_ids + batch_tile_ids;
   }
 
-  /// Remote-needing IDs before per-chunk dedup, both kinds.
+  /// Remote-needing IDs before per-round dedup, both kinds.
   std::uint64_t batch_ids_raw() const noexcept {
     return batch_kmer_ids_raw + batch_tile_ids_raw;
   }
@@ -121,7 +122,7 @@ struct RemoteLookupStats {
                      static_cast<double>(batch_requests);
   }
 
-  /// Fraction of remote-needing IDs removed by per-chunk deduplication.
+  /// Fraction of remote-needing IDs removed by per-round deduplication.
   double dedup_ratio() const noexcept {
     return batch_ids_raw() == 0
                ? 0.0

@@ -349,13 +349,14 @@ TEST(BatchedLookups, DedupStatsSplitPerKind) {
 }
 
 TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
-  // Direct unit pin of the per-kind seen-sets. With k=8 and tile_overlap=2
+  // Direct unit pin of per-kind round queues. With k=8 and tile_overlap=2
   // a tile spans 14 bases, so a read of the form AAAAAA+S packs its first
   // tile to the SAME numeric value as the k-mer S (the six A's are the
-  // zero high bits). Feeding such reads through prefetch_chunk, the shared
-  // numeric ID must be counted — and sent — once PER KIND; a dedup
-  // seen-set shared across kinds would silently drop one of them. The
-  // per-kind sent/raw counters are compared against expectations computed
+  // zero high bits). Round 0 (prefetch_chunk) requests the reads' gate
+  // tiles; looking up each read's k-mer S then defers it into round 1. The
+  // shared numeric ID must be counted — and sent — once PER KIND; dedup
+  // shared across kinds would silently drop one of them. The per-kind
+  // sent/raw counters are compared against expectations computed
   // independently with the same extractor and owner hash.
   core::CorrectorParams p;
   p.k = 8;
@@ -393,12 +394,17 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       // Expected per-kind remote streams, computed independently: every
       // occurrence owned by rank 0 counts raw, every distinct ID once.
       core::SpectrumExtractor extractor(p);
-      std::vector<seq::kmer_id_t> kmers;
+      std::vector<seq::kmer_id_t> read_kmers;
       std::vector<seq::tile_id_t> tiles;
-      for (const auto& r : batch) extractor.extract(r.bases, kmers, tiles);
+      for (const auto& r : batch) {
+        read_kmers.push_back(extractor.kmer_codec().pack(
+            std::string_view(r.bases).substr(6)));
+        std::vector<seq::kmer_id_t> unused;
+        extractor.extract(r.bases, unused, tiles);
+      }
       std::set<std::uint64_t> kmer_set, tile_set;
       std::uint64_t kmer_raw = 0, tile_raw = 0;
-      for (const auto id : kmers) {
+      for (const auto id : read_kmers) {
         if (hash::owner_of(id, comm.size()) == 0) {
           ++kmer_raw;
           kmer_set.insert(id);
@@ -412,7 +418,7 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       }
       // The construction above guarantees numeric overlap between the two
       // kinds' remote streams (any suffix whose packed ID hashes to rank 0
-      // appears in both sets) — the exact case a shared seen-set corrupts.
+      // appears in both sets) — the exact case cross-kind dedup corrupts.
       std::size_t overlap = 0;
       for (const auto id : tile_set) overlap += kmer_set.count(id);
       ASSERT_GT(overlap, 0u);
@@ -420,6 +426,15 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       RemoteSpectrumView view(comm, spectrum);
       view.prefetch_chunk(batch);
       const auto& stats = view.remote_stats();
+      EXPECT_EQ(stats.batch_kmer_ids, 0u);  // round 0 asks gate tiles only
+      EXPECT_EQ(stats.batch_tile_ids, tile_set.size());
+      EXPECT_EQ(stats.batch_tile_ids_raw, tile_raw);
+
+      for (const auto id : read_kmers) {
+        EXPECT_EQ(view.kmer_count(id), 0u);  // deferred or owned locally
+      }
+      EXPECT_EQ(view.deferred_lookups(), kmer_raw);
+      view.fetch_round();
       EXPECT_EQ(stats.batch_kmer_ids, kmer_set.size());
       EXPECT_EQ(stats.batch_tile_ids, tile_set.size());
       EXPECT_EQ(stats.batch_kmer_ids_raw, kmer_raw);
@@ -427,6 +442,11 @@ TEST(BatchedLookups, CrossKindIdCountedInBothTables) {
       // One vectored request per kind with remote IDs, all owned by rank 0.
       EXPECT_EQ(stats.batch_requests, (kmer_set.empty() ? 0u : 1u) +
                                           (tile_set.empty() ? 0u : 1u));
+      // The round's replies answer the deferred lookups from the cache.
+      const std::uint64_t hits_before = stats.prefetch_hits;
+      for (const auto id : kmer_set) (void)view.kmer_count(id);
+      EXPECT_EQ(stats.prefetch_hits - hits_before, kmer_set.size());
+      EXPECT_EQ(stats.remote_lookups(), 0u);
       comm.signal_done();
     }
     comm.barrier();

@@ -10,6 +10,7 @@
 //    the baseline never applied is a miscorrection and fails the sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,34 @@ const core::SequentialResult& sweep_reference() {
   static const core::SequentialResult ref =
       core::run_sequential(sweep_dataset().reads, sweep_params());
   return ref;
+}
+
+/// Reads of `result` that differ from the sequential baseline, after
+/// checking each differing base is the ORIGINAL base: a degraded run may
+/// skip a substitution, never apply one the baseline did not.
+std::size_t count_divergent(const parallel::DistResult& result,
+                            const std::string& where) {
+  const auto& ds = sweep_dataset();
+  const auto& ref = sweep_reference();
+  EXPECT_EQ(result.corrected.size(), ref.corrected.size()) << where;
+  std::size_t divergent = 0;
+  for (std::size_t i = 0; i < ref.corrected.size(); ++i) {
+    EXPECT_EQ(result.corrected[i].number, ref.corrected[i].number) << where;
+    const std::string& dist = result.corrected[i].bases;
+    const std::string& fixed = ref.corrected[i].bases;
+    if (dist == fixed) continue;
+    ++divergent;
+    const std::string& original = ds.reads[i].bases;
+    EXPECT_EQ(dist.size(), fixed.size()) << where;
+    for (std::size_t b = 0; b < std::min(dist.size(), fixed.size()); ++b) {
+      if (dist[b] != fixed[b]) {
+        EXPECT_EQ(dist[b], original[b])
+            << where << " read " << ref.corrected[i].number << " base " << b
+            << ": miscorrection (neither original nor baseline)";
+      }
+    }
+  }
+  return divergent;
 }
 
 struct SweepCase {
@@ -102,35 +131,23 @@ TEST_P(ChaosSweep, HoldsIdentityContract) {
       degraded += r.tiles_degraded;
       EXPECT_EQ(r.check.fifo_violations, 0u)
           << cs.name << " seed " << seed << " rank " << r.rank;
+      // The audit text names each leak's envelope, tag and seq.
       EXPECT_EQ(r.check.leaked_messages, 0u)
-          << cs.name << " seed " << seed << " rank " << r.rank;
+          << cs.name << " seed " << seed << " rank " << r.rank << "\n"
+          << result.check_report;
       EXPECT_EQ(r.check.orphaned_replies, 0u)
-          << cs.name << " seed " << seed << " rank " << r.rank;
+          << cs.name << " seed " << seed << " rank " << r.rank << "\n"
+          << result.check_report;
     }
     if (!cs.lossy) {
       EXPECT_EQ(degraded, 0u) << cs.name;
     }
 
-    std::size_t divergent = 0;
-    for (std::size_t i = 0; i < ref.corrected.size(); ++i) {
-      ASSERT_EQ(result.corrected[i].number, ref.corrected[i].number);
-      const std::string& dist = result.corrected[i].bases;
-      const std::string& fixed = ref.corrected[i].bases;
-      if (dist == fixed) continue;
-      ++divergent;
-      ASSERT_TRUE(cs.lossy)
-          << cs.name << " seed " << seed << ": delay-only plan changed read "
-          << ref.corrected[i].number;
-      const std::string& original = ds.reads[i].bases;
-      ASSERT_EQ(dist.size(), fixed.size());
-      for (std::size_t b = 0; b < dist.size(); ++b) {
-        if (dist[b] != fixed[b]) {
-          ASSERT_EQ(dist[b], original[b])
-              << cs.name << " seed " << seed << " read "
-              << ref.corrected[i].number << " base " << b
-              << ": miscorrection (neither original nor baseline)";
-        }
-      }
+    const std::string where = std::string(cs.name) + " seed " +
+                              std::to_string(seed);
+    const std::size_t divergent = count_divergent(result, where);
+    if (!cs.lossy) {
+      EXPECT_EQ(divergent, 0u) << where << ": delay-only plan changed reads";
     }
     // Degradation is the only licence to diverge.
     if (degraded == 0) {
@@ -154,6 +171,34 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.name;
     });
+
+TEST(ChaosSweepRounds, StalledPeerAbandonsRoundsWithoutMiscorrecting) {
+  // Stall windows far longer than a one-attempt batch timeout: rounds whose
+  // owner is stalled are abandoned, their IDs are deferred again, and once
+  // a round adds nothing the reads finish on the scalar path (whose own
+  // retries may degrade). The run must finish and never miscorrect.
+  parallel::DistConfig config;
+  config.params = sweep_params();
+  config.ranks = 4;
+  config.heuristics.batch_lookups = true;
+  config.run_options.chaos.seed = 303;
+  config.run_options.chaos.max_delay_us = 50;
+  config.run_options.chaos.stall_rate = 0.05;
+  config.run_options.chaos.stall_us = 20000;
+  config.retry.timeout_ticks = 1;
+  config.retry.max_retries = 0;
+
+  const auto result =
+      parallel::run_distributed(sweep_dataset().reads, config);
+  std::uint64_t abandoned = 0;
+  for (const auto& r : result.ranks) {
+    abandoned += r.remote.batch_abandoned;
+    EXPECT_EQ(r.check.fifo_violations, 0u) << "rank " << r.rank;
+  }
+  EXPECT_GT(abandoned, 0u);
+  count_divergent(result, "stalled rounds");
+  EXPECT_LE(result.total_substitutions(), sweep_reference().substitutions);
+}
 
 }  // namespace
 }  // namespace reptile
