@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "seq/alphabet.hpp"
+
 namespace reptile::seq {
 
 namespace {
@@ -99,7 +101,7 @@ std::vector<Read> read_all(const std::filesystem::path& fasta,
     if (!num) io_fail(fasta, "expected header line");
     Read r;
     r.number = *num;
-    r.bases = strip_spaces(read_body(fa));
+    r.bases = sanitize_sequence(strip_spaces(read_body(fa)));
     reads.push_back(std::move(r));
   }
   std::size_t i = 0;
@@ -282,7 +284,7 @@ bool PartitionedReadSource::next_chunk(std::size_t max_reads, ReadBatch& out) {
     if (*num != next_) io_fail(fasta_path_, "non-contiguous sequence numbers");
     Read r;
     r.number = *num;
-    r.bases = strip_spaces(read_body(fasta_));
+    r.bases = sanitize_sequence(strip_spaces(read_body(fasta_)));
 
     if (!std::getline(qual_, line)) io_fail(qual_path_, "truncated");
     const auto qnum = detail::parse_header(line);

@@ -47,6 +47,9 @@ void write_read_files(const std::filesystem::path& fasta,
 
 /// Reads an entire FASTA + quality pair back into memory (tests and the
 /// sequential baseline). Throws on malformed input or mismatched numbering.
+/// Like PartitionedReadSource, replaces every non-ACGT base with 'A'
+/// (sanitize_sequence), so the reads satisfy the k-mer packer's ACGT
+/// precondition.
 std::vector<Read> read_all(const std::filesystem::path& fasta,
                            const std::filesystem::path& qual);
 

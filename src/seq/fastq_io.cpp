@@ -50,16 +50,12 @@ std::vector<Read> parse_stream(std::istream& in, const FastqOptions& options,
     }
 
     Read r;
-    r.bases.reserve(bases.size());
+    r.bases = sanitize_sequence(bases);
     r.quals.reserve(bases.size());
     for (std::size_t i = 0; i < bases.size(); ++i) {
-      char c = bases[i];
-      if (!is_valid_base_char(c)) {
-        c = options.sanitize_with;
-        ++local.bases_sanitized;
-      }
-      r.bases.push_back(static_cast<char>(std::toupper(
-          static_cast<unsigned char>(c))));
+      char& c = r.bases[i];
+      if (c != bases[i]) ++local.bases_sanitized;
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
       const int q = static_cast<unsigned char>(quals[i]) - options.phred_offset;
       if (q < 0 || q > 93) {
         fail(line, "quality character out of range for the chosen "

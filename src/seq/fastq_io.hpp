@@ -23,9 +23,6 @@ struct FastqOptions {
   /// ASCII offset of the quality encoding (33 = Sanger/Illumina 1.8+,
   /// 64 = legacy Illumina 1.3-1.7).
   int phred_offset = 33;
-  /// Replace non-ACGT base characters (N etc.) with this base; Reptile
-  /// handles only the four-letter alphabet.
-  char sanitize_with = 'A';
   /// Drop reads shorter than this many bases (0 keeps everything).
   int min_length = 0;
 };
@@ -40,7 +37,9 @@ struct FastqStats {
 
 /// Parses an entire FASTQ file into reads numbered 1..N in file order
 /// (original names are discarded, as the paper's preprocessing does).
-/// Throws std::runtime_error with a line number on malformed input.
+/// Non-ACGT bases (N etc.) become 'A' via sanitize_sequence, and bases are
+/// upper-cased. Throws std::runtime_error with a line number on malformed
+/// input.
 std::vector<Read> read_fastq(const std::filesystem::path& path,
                              const FastqOptions& options = {},
                              FastqStats* stats = nullptr);

@@ -9,6 +9,14 @@
 // The k-mer ID is exactly what the paper calls "a number constructed from the
 // characters of the sequence" (Section III, Step II); it is the key of the
 // distributed k-mer spectrum.
+//
+// Precondition for every packing entry point (pack, extract, and the tile
+// and spectrum extractors built on them): the bases are ACGT (either case).
+// Reads loaded from files already satisfy it — the FASTA and FASTQ readers
+// replace every other character with 'A' (seq::sanitize_sequence, Reptile's
+// preprocessing of 'N'). In-memory callers must sanitize themselves: an
+// invalid byte trips an assert in debug builds and corrupts the packed ID
+// otherwise.
 
 #include <cstdint>
 #include <string>

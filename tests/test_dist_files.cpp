@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "core/pipeline.hpp"
+#include "seq/alphabet.hpp"
 #include "seq/dataset.hpp"
 #include "seq/fasta_io.hpp"
 
@@ -92,6 +93,41 @@ TEST_F(DistFilesTest, MoreRanksThanNeededStillWorks) {
   const auto cfg = config(8, true);
   const auto result = run_distributed_files(f, q, cfg);
   EXPECT_EQ(result.corrected.size(), 5u);
+}
+
+TEST_F(DistFilesTest, NonAcgtBasesAreSanitizedOnIngest) {
+  // 'N', 'n' and an IUPAC code ('R') must never reach the k-mer packer: the
+  // readers replace them with 'A' (Reptile's preprocessing), so a run over
+  // such files equals the run over the same reads sanitized beforehand.
+  std::vector<seq::Read> dirty = ds_.reads;
+  std::vector<seq::Read> clean = ds_.reads;
+  const char codes[] = {'N', 'n', 'R'};
+  for (std::size_t i = 0; i < dirty.size(); i += 7) {
+    std::string& b = dirty[i].bases;
+    b[(i * 13) % b.size()] = codes[(i / 7) % 3];
+    b[(i * 29 + 5) % b.size()] = codes[(i / 7 + 1) % 3];
+    clean[i].bases = seq::sanitize_sequence(b);
+  }
+  const auto dirty_fa = dir_ / "dirty.fa";
+  const auto dirty_q = dir_ / "dirty.qual";
+  const auto clean_fa = dir_ / "clean.fa";
+  const auto clean_q = dir_ / "clean.qual";
+  seq::write_read_files(dirty_fa, dirty_q, dirty);
+  seq::write_read_files(clean_fa, clean_q, clean);
+
+  const auto loaded = seq::read_all(dirty_fa, dirty_q);
+  EXPECT_EQ(loaded, clean);
+  const auto params = config(1, true).params;
+  EXPECT_EQ(core::run_sequential(loaded, params).corrected,
+            core::run_sequential(clean, params).corrected);
+  // Each rank ingests its byte partition through PartitionedReadSource;
+  // with load balancing the reads are then redistributed before Step II.
+  for (const bool load_balance : {true, false}) {
+    const auto cfg = config(2, load_balance);
+    EXPECT_EQ(run_distributed_files(dirty_fa, dirty_q, cfg).corrected,
+              run_distributed_files(clean_fa, clean_q, cfg).corrected)
+        << "load_balance=" << load_balance;
+  }
 }
 
 }  // namespace
