@@ -19,8 +19,8 @@
 
 #include "core/corrector.hpp"
 #include "core/spectrum.hpp"
-#include "hash/bloom_filter.hpp"
 #include "hash/count_table.hpp"
+#include "hash/owner_filter.hpp"
 #include "hash/sorted_spectrum.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/lookup_service.hpp"
@@ -138,16 +138,16 @@ void BM_KmerExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_KmerExtraction);
 
-void BM_BloomFilterInsert(benchmark::State& state) {
+void BM_OwnerFilterInsert(benchmark::State& state) {
   const auto keys = random_keys(1 << 16, 5);
   for (auto _ : state) {
-    hash::BloomFilter bf(1 << 16, 0.01);
+    hash::OwnerFilter bf(1 << 16, 0.01);
     for (auto k : keys) benchmark::DoNotOptimize(bf.insert(k));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           (1 << 16));
 }
-BENCHMARK(BM_BloomFilterInsert);
+BENCHMARK(BM_OwnerFilterInsert);
 
 // --- correction throughput ---------------------------------------------------
 
@@ -224,7 +224,7 @@ std::vector<LookupRow> measure_remote_lookups(
 
     if (comm.rank() == 1) {
       std::vector<std::uint64_t> owned;
-      spectrum.hash_kmers().for_each(
+      spectrum.owned_table(LookupKind::kKmer).for_each(
           [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
       comm.send<std::uint64_t>(
           0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));
@@ -422,7 +422,7 @@ RttResult measure_lookup_rtt(std::size_t lookups) {
         spectrum.exchange_to_owners();
         if (comm.rank() == 1) {
           std::vector<std::uint64_t> owned;
-          spectrum.hash_kmers().for_each(
+          spectrum.owned_table(LookupKind::kKmer).for_each(
               [&](std::uint64_t id, std::uint32_t) { owned.push_back(id); });
           comm.send<std::uint64_t>(
               0, 97, std::span<const std::uint64_t>(owned.data(), owned.size()));

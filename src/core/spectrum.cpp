@@ -26,17 +26,14 @@ void SpectrumExtractor::extract(std::string_view bases,
 }
 
 LocalSpectrum::LocalSpectrum(const CorrectorParams& params)
-    : params_(params),
-      kmer_codec_(params.k),
-      tile_codec_(params.k, params.tile_overlap) {
+    : params_(params), extractor_(params) {
   params_.validate();
 }
 
 void LocalSpectrum::add_read(std::string_view bases) {
   kmer_scratch_.clear();
   tile_scratch_.clear();
-  SpectrumExtractor extractor(params_);
-  extractor.extract(bases, kmer_scratch_, tile_scratch_);
+  extractor_.extract(bases, kmer_scratch_, tile_scratch_);
   for (seq::kmer_id_t id : kmer_scratch_) kmers_.increment(id);
   for (seq::tile_id_t id : tile_scratch_) tiles_.increment(id);
 }
@@ -46,17 +43,9 @@ std::size_t LocalSpectrum::prune() {
          tiles_.prune_below(params_.tile_threshold);
 }
 
-seq::kmer_id_t LocalSpectrum::canon_kmer(seq::kmer_id_t id) const {
-  return params_.canonical ? kmer_codec_.canonical(id) : id;
-}
-
-seq::tile_id_t LocalSpectrum::canon_tile(seq::tile_id_t id) const {
-  return params_.canonical ? tile_codec_.as_kmer_codec().canonical(id) : id;
-}
-
 std::uint32_t LocalSpectrum::kmer_count(seq::kmer_id_t id) {
   ++stats_.kmer_lookups;
-  const auto c = kmers_.find(canon_kmer(id));
+  const auto c = kmers_.find(extractor_.canon_kmer(id));
   if (!c) {
     ++stats_.kmer_misses;
     return 0;
@@ -66,7 +55,7 @@ std::uint32_t LocalSpectrum::kmer_count(seq::kmer_id_t id) {
 
 std::uint32_t LocalSpectrum::tile_count(seq::tile_id_t id) {
   ++stats_.tile_lookups;
-  const auto c = tiles_.find(canon_tile(id));
+  const auto c = tiles_.find(extractor_.canon_tile(id));
   if (!c) {
     ++stats_.tile_misses;
     return 0;

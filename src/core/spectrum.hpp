@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -65,6 +66,33 @@ class SpectrumView {
   virtual void suspend_tile() {}
 };
 
+/// Extracts the (optionally canonical) k-mer and tile IDs of one read;
+/// shared by LocalSpectrum and the distributed builder.
+class SpectrumExtractor {
+ public:
+  explicit SpectrumExtractor(const CorrectorParams& params);
+
+  /// Appends the read's k-mer IDs to `kmers` and tile IDs to `tiles`.
+  void extract(std::string_view bases, std::vector<seq::kmer_id_t>& kmers,
+               std::vector<seq::tile_id_t>& tiles) const;
+
+  const seq::KmerCodec& kmer_codec() const noexcept { return kmer_codec_; }
+  const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
+  bool canonical() const noexcept { return canonical_; }
+
+  seq::kmer_id_t canon_kmer(seq::kmer_id_t id) const {
+    return canonical_ ? kmer_codec_.canonical(id) : id;
+  }
+  seq::tile_id_t canon_tile(seq::tile_id_t id) const {
+    return canonical_ ? tile_codec_.as_kmer_codec().canonical(id) : id;
+  }
+
+ private:
+  seq::KmerCodec kmer_codec_;
+  seq::TileCodec tile_codec_;
+  bool canonical_;
+};
+
 /// Both spectra in local memory, with construction helpers.
 class LocalSpectrum final : public SpectrumView {
  public:
@@ -100,49 +128,26 @@ class LocalSpectrum final : public SpectrumView {
   const hash::CountTable<>& kmers() const noexcept { return kmers_; }
   const hash::CountTable<>& tiles() const noexcept { return tiles_; }
 
-  /// Canonicalizes an ID exactly as construction did (identity when the
-  /// canonical option is off). Exposed so distributed lookups canonicalize
-  /// before computing the owning rank.
-  seq::kmer_id_t canon_kmer(seq::kmer_id_t id) const;
-  seq::tile_id_t canon_tile(seq::tile_id_t id) const;
+  /// Replaces both tables, e.g. with the allgathered global spectrum of the
+  /// replicated baseline. Keys must be canonicalized like add_read's.
+  void assign(hash::CountTable<> kmers, hash::CountTable<> tiles) {
+    kmers_ = std::move(kmers);
+    tiles_ = std::move(tiles);
+  }
+
+  /// The extractor construction used; its canon_kmer / canon_tile
+  /// canonicalize an ID exactly as construction did.
+  const SpectrumExtractor& extractor() const noexcept { return extractor_; }
 
  private:
   CorrectorParams params_;
-  seq::KmerCodec kmer_codec_;
-  seq::TileCodec tile_codec_;
+  SpectrumExtractor extractor_;
   hash::CountTable<> kmers_;
   hash::CountTable<> tiles_;
   LookupStats stats_;
   // Scratch buffers reused across add_read calls.
   std::vector<seq::kmer_id_t> kmer_scratch_;
   std::vector<seq::tile_id_t> tile_scratch_;
-};
-
-/// Extracts the (optionally canonical) k-mer and tile IDs of one read;
-/// shared by LocalSpectrum and the distributed builder.
-class SpectrumExtractor {
- public:
-  explicit SpectrumExtractor(const CorrectorParams& params);
-
-  /// Appends the read's k-mer IDs to `kmers` and tile IDs to `tiles`.
-  void extract(std::string_view bases, std::vector<seq::kmer_id_t>& kmers,
-               std::vector<seq::tile_id_t>& tiles) const;
-
-  const seq::KmerCodec& kmer_codec() const noexcept { return kmer_codec_; }
-  const seq::TileCodec& tile_codec() const noexcept { return tile_codec_; }
-  bool canonical() const noexcept { return canonical_; }
-
-  seq::kmer_id_t canon_kmer(seq::kmer_id_t id) const {
-    return canonical_ ? kmer_codec_.canonical(id) : id;
-  }
-  seq::tile_id_t canon_tile(seq::tile_id_t id) const {
-    return canonical_ ? tile_codec_.as_kmer_codec().canonical(id) : id;
-  }
-
- private:
-  seq::KmerCodec kmer_codec_;
-  seq::TileCodec tile_codec_;
-  bool canonical_;
 };
 
 }  // namespace reptile::core

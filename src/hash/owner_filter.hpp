@@ -10,11 +10,16 @@
 // redundant round trip; a false negative would silently miscorrect reads,
 // which is why possibly_contains never errs on that side (property-tested).
 //
-// Unlike the construction-time hash::BloomFilter (whose probes stride the
-// whole bit array), this filter is *blocked*: every key's probes land in one
-// 512-bit (cache-line) block, so a lookup touches exactly one line — it sits
-// on the correction hot path — and the layout serializes to a stable wire
-// format: a fixed header followed by the block words.
+// It is also the owner-side filter of the bloom_construction mode (the
+// paper's Step III note: "a memory-efficient alternative to this step is
+// usage of a Bloom filter"): insert() reports whether the key was possibly
+// seen before, so singletons stay in the filter and only IDs sighted twice
+// reach the exact table.
+//
+// The filter is *blocked*: every key's probes land in one 512-bit
+// (cache-line) block, so a lookup touches exactly one line — it sits on the
+// correction hot path — and the layout serializes to a stable wire format:
+// a fixed header followed by the block words.
 
 #include <cmath>
 #include <cstddef>
@@ -67,15 +72,24 @@ class OwnerFilter {
     return f;
   }
 
-  void insert(std::uint64_t key) {
+  /// Inserts `key`; returns true when every probed bit was already set,
+  /// i.e. the key was *possibly already present* — the "seen before"
+  /// signal of bloom_construction's singleton suppression.
+  bool insert(std::uint64_t key) {
     std::uint64_t* block = block_of(key);
     std::uint64_t h = probe_seed(key);
     const std::uint64_t step = probe_step(key);
+    bool all_set = true;
     for (int i = 0; i < nhashes_; ++i, h += step) {
       const std::size_t bit = static_cast<std::size_t>(h % kBlockBits);
-      block[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+      const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+      if (!(block[bit >> 6] & mask)) {
+        all_set = false;
+        block[bit >> 6] |= mask;
+      }
     }
     ++key_count_;
+    return all_set;
   }
 
   /// True when `key` may be in the set the filter was built over. False

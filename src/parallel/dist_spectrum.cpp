@@ -2,10 +2,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "parallel/wire.hpp"
 
 namespace reptile::parallel {
+
+hash::CountTable<> allgather_merge(rtm::Comm& comm,
+                                   const hash::CountTable<>& table) {
+  std::vector<IdCount> flat;
+  flat.reserve(table.size());
+  table.for_each([&flat](std::uint64_t id, std::uint32_t count) {
+    flat.push_back({id, count});
+  });
+  const auto all =
+      comm.allgatherv(std::span<const IdCount>(flat.data(), flat.size()));
+  hash::CountTable<> merged(all.size());
+  for (const IdCount& e : all) merged.increment(e.id, e.count);
+  return merged;
+}
 
 DistSpectrum::DistSpectrum(const core::CorrectorParams& params,
                            const Heuristics& heur, rtm::Comm& comm)
@@ -14,62 +29,54 @@ DistSpectrum::DistSpectrum(const core::CorrectorParams& params,
   heur_.validate();
 }
 
-void DistSpectrum::owner_add(hash::CountTable<>& owned_table,
-                             std::unique_ptr<hash::BloomFilter>& bloom,
-                             std::uint64_t id, std::uint32_t count) {
+void DistSpectrum::owner_add(Tables& t, std::uint64_t id,
+                             std::uint32_t count) {
   if (!heur_.bloom_construction) {
-    owned_table.increment(id, count);
+    t.owned.increment(id, count);
     return;
   }
   // Bloom-filter construction (paper Step III note): singletons stay in
   // the filter; the exact table only holds IDs sighted at least twice.
-  if (owned_table.contains(id)) {
-    owned_table.increment(id, count);
+  if (t.owned.contains(id)) {
+    t.owned.increment(id, count);
     return;
   }
-  if (!bloom) {
+  if (!t.bloom) {
     // Lazy sizing: a generous default; fill ratio is tested separately.
-    bloom = std::make_unique<hash::BloomFilter>(1 << 20, 0.01);
+    t.bloom = std::make_unique<hash::OwnerFilter>(1 << 20, 0.01);
   }
   if (count >= 2) {
-    owned_table.increment(id, count);
-    bloom->insert(id);
+    t.owned.increment(id, count);
+    t.bloom->insert(id);
     return;
   }
-  if (bloom->insert(id)) {
+  if (t.bloom->insert(id)) {
     // Second sighting (or a rare false positive): admit, crediting the
     // first sighting parked in the filter.
-    owned_table.increment(id, count + 1);
+    t.owned.increment(id, count + 1);
   }
 }
 
 void DistSpectrum::add_read(std::string_view bases) {
-  kmer_scratch_.clear();
-  tile_scratch_.clear();
-  extractor_.extract(bases, kmer_scratch_, tile_scratch_);
+  for (Tables& t : tables_) t.scratch.clear();
+  extractor_.extract(bases, at(LookupKind::kKmer).scratch,
+                     at(LookupKind::kTile).scratch);
   const int me = comm_->rank();
   const int np = comm_->size();
-  for (seq::kmer_id_t id : kmer_scratch_) {
-    if (hash::owner_of(id, np) == me) {
-      owner_add(hash_kmer_, bloom_kmer_, id, 1);
-    } else {
-      pending_kmer_.increment(id);
-      if (heur_.read_kmers) reads_kmer_.increment(id);
-    }
-  }
-  for (seq::tile_id_t id : tile_scratch_) {
-    if (hash::owner_of(id, np) == me) {
-      owner_add(hash_tile_, bloom_tile_, id, 1);
-    } else {
-      pending_tile_.increment(id);
-      if (heur_.read_kmers) reads_tile_.increment(id);
+  for (Tables& t : tables_) {
+    for (std::uint64_t id : t.scratch) {
+      if (hash::owner_of(id, np) == me) {
+        owner_add(t, id, 1);
+      } else {
+        t.pending.increment(id);
+        if (heur_.read_kmers) t.reads.increment(id);
+      }
     }
   }
 }
 
-template <class Table>
 std::vector<std::vector<IdCount>> DistSpectrum::bucket_by_owner(
-    const Table& table) const {
+    const hash::CountTable<>& table) const {
   const int np = comm_->size();
   std::vector<std::vector<IdCount>> buckets(static_cast<std::size_t>(np));
   table.for_each([&](std::uint64_t id, std::uint32_t count) {
@@ -79,33 +86,26 @@ std::vector<std::vector<IdCount>> DistSpectrum::bucket_by_owner(
   return buckets;
 }
 
-void DistSpectrum::exchange_one(hash::CountTable<>& pending_table,
-                                hash::CountTable<>& owned_table,
-                                std::unique_ptr<hash::BloomFilter>& bloom) {
-  const auto buckets = bucket_by_owner(pending_table);
-  const auto received = comm_->alltoallv(buckets);
-  for (const auto& part : received) {
-    for (const IdCount& e : part) owner_add(owned_table, bloom, e.id, e.count);
-  }
-  pending_table.clear();
-}
-
 void DistSpectrum::exchange_to_owners() {
-  exchange_one(pending_kmer_, hash_kmer_, bloom_kmer_);
-  exchange_one(pending_tile_, hash_tile_, bloom_tile_);
+  for (Tables& t : tables_) {
+    const auto received = comm_->alltoallv(bucket_by_owner(t.pending));
+    for (const auto& part : received) {
+      for (const IdCount& e : part) owner_add(t, e.id, e.count);
+    }
+    t.pending.clear();
+  }
 }
 
 void DistSpectrum::prune() {
-  hash_kmer_.prune_below(params_.kmer_threshold);
-  hash_tile_.prune_below(params_.tile_threshold);
+  at(LookupKind::kKmer).owned.prune_below(params_.kmer_threshold);
+  at(LookupKind::kTile).owned.prune_below(params_.tile_threshold);
 }
 
-void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
-                             const hash::CountTable<>& owned_table) {
+void DistSpectrum::fetch_one(Tables& t) {
   const int np = comm_->size();
   // Round 1: send the IDs we want counted to their owners.
   std::vector<std::vector<std::uint64_t>> asks(static_cast<std::size_t>(np));
-  reads_table.for_each([&](std::uint64_t id, std::uint32_t) {
+  t.reads.for_each([&](std::uint64_t id, std::uint32_t) {
     asks[static_cast<std::size_t>(hash::owner_of(id, np))].push_back(id);
   });
   const auto questions = comm_->alltoallv(asks);
@@ -118,14 +118,14 @@ void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
     auto& a = answers[static_cast<std::size_t>(src)];
     a.reserve(q.size());
     for (std::uint64_t id : q) {
-      a.push_back(owned_table.find(id).value_or(0));
+      a.push_back(t.owned.find(id).value_or(0));
     }
   }
   const auto replies = comm_->alltoallv(answers);
 
   // Rebuild the reads table with global counts, in the same per-owner order
   // the asks were issued.
-  hash::CountTable<> rebuilt(reads_table.size());
+  hash::CountTable<> rebuilt(t.reads.size());
   for (int owner = 0; owner < np; ++owner) {
     const auto& sent = asks[static_cast<std::size_t>(owner)];
     const auto& got = replies[static_cast<std::size_t>(owner)];
@@ -133,40 +133,19 @@ void DistSpectrum::fetch_one(hash::CountTable<>& reads_table,
       rebuilt.increment(sent[i], got[i]);  // count 0 marks known-absent
     }
   }
-  reads_table = std::move(rebuilt);
+  t.reads = std::move(rebuilt);
 }
 
 void DistSpectrum::fetch_global_reads_tables() {
-  fetch_one(reads_kmer_, hash_kmer_);
-  fetch_one(reads_tile_, hash_tile_);
+  for (Tables& t : tables_) fetch_one(t);
 }
 
-void DistSpectrum::replicate_kmers() {
-  const auto mine = hash_kmer_.entries();
-  std::vector<IdCount> flat;
-  flat.reserve(mine.size());
-  for (const auto& [id, count] : mine) flat.push_back({id, count});
-  const auto all =
-      comm_->allgatherv(std::span<const IdCount>(flat.data(), flat.size()));
-  replica_kmer_ = hash::CountTable<>(all.size());
-  for (const IdCount& e : all) replica_kmer_.increment(e.id, e.count);
-  kmers_replicated_ = true;
-  // Every rank now resolves k-mers from the replica; the owned shard is
-  // redundant (no rank will request k-mers remotely in this mode).
-  hash_kmer_.clear();
-}
-
-void DistSpectrum::replicate_tiles() {
-  const auto mine = hash_tile_.entries();
-  std::vector<IdCount> flat;
-  flat.reserve(mine.size());
-  for (const auto& [id, count] : mine) flat.push_back({id, count});
-  const auto all =
-      comm_->allgatherv(std::span<const IdCount>(flat.data(), flat.size()));
-  replica_tile_ = hash::CountTable<>(all.size());
-  for (const IdCount& e : all) replica_tile_.increment(e.id, e.count);
-  tiles_replicated_ = true;
-  hash_tile_.clear();
+void DistSpectrum::replicate(LookupKind kind) {
+  Tables& t = at(kind);
+  t.replica = allgather_merge(*comm_, t.owned);
+  // Every rank now resolves this kind from the replica; the owned shard is
+  // redundant (no rank will request it remotely in this mode).
+  t.owned.clear();
 }
 
 void DistSpectrum::replicate_group() {
@@ -176,11 +155,10 @@ void DistSpectrum::replicate_group() {
   const int me = comm_->rank();
   const int my_group = me / g;
 
-  auto replicate_one = [&](const hash::CountTable<>& owned,
-                           hash::CountTable<>& group_table) {
+  for (Tables& t : tables_) {
     // Send my owned shard to every other member of my group; everyone must
     // participate in the alltoallv regardless of group membership.
-    const auto mine = owned.entries();
+    const auto mine = t.owned.entries();
     std::vector<IdCount> flat;
     flat.reserve(mine.size());
     for (const auto& [id, count] : mine) flat.push_back({id, count});
@@ -191,14 +169,12 @@ void DistSpectrum::replicate_group() {
       }
     }
     const auto received = comm_->alltoallv(buckets);
-    group_table = hash::CountTable<>(owned.size() * static_cast<std::size_t>(g));
-    for (const auto& [id, count] : mine) group_table.increment(id, count);
+    t.group = hash::CountTable<>(t.owned.size() * static_cast<std::size_t>(g));
+    for (const auto& [id, count] : mine) t.group.increment(id, count);
     for (const auto& part : received) {
-      for (const IdCount& e : part) group_table.increment(e.id, e.count);
+      for (const IdCount& e : part) t.group.increment(e.id, e.count);
     }
-  };
-  replicate_one(hash_kmer_, group_kmer_);
-  replicate_one(hash_tile_, group_tile_);
+  }
 }
 
 void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
@@ -211,18 +187,19 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   if (!heur_.filter_lookups) return;
   const int np = comm_->size();
   const int me = comm_->rank();
-  peer_filter_kmer_.clear();
-  peer_filter_kmer_.resize(static_cast<std::size_t>(np));
-  peer_filter_tile_.clear();
-  peer_filter_tile_.resize(static_cast<std::size_t>(np));
+  for (Tables& t : tables_) {
+    t.peer_filters.clear();
+    t.peer_filters.resize(static_cast<std::size_t>(np));
+  }
   filter_bytes_ = 0;
   if (np <= 1 || heur_.fully_replicated()) return;
 
   // Kinds resolved by allgather replication never go remote, and their
-  // owned shards were cleared by replicate_* anyway — no filter to build.
-  std::vector<std::pair<LookupKind, const hash::CountTable<>*>> kinds;
-  if (!heur_.allgather_kmers) kinds.emplace_back(LookupKind::kKmer, &hash_kmer_);
-  if (!heur_.allgather_tiles) kinds.emplace_back(LookupKind::kTile, &hash_tile_);
+  // owned shards were cleared by replicate() anyway — no filter to build.
+  std::vector<LookupKind> kinds;
+  for (LookupKind kind : kLookupKinds) {
+    if (!allgathered(heur_, kind)) kinds.push_back(kind);
+  }
   if (kinds.empty()) return;
 
   // Out-of-group peers only: in-group lookups resolve from the replicated
@@ -236,9 +213,9 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   // Phase 1: every rank posts all its (buffered, non-blocking) sends before
   // any rank starts receiving, so the blocking collection below cannot
   // deadlock even without retry timeouts.
-  for (const auto& [kind, table] : kinds) {
+  for (LookupKind kind : kinds) {
     const hash::OwnerFilter filter =
-        hash::OwnerFilter::build_from(*table, heur_.filter_fp_rate);
+        hash::OwnerFilter::build_from(at(kind).owned, heur_.filter_fp_rate);
     for (int dst : peers) {
       rtm::Payload payload = comm_->make_payload(filter_exchange_bytes(filter));
       encode_filter_exchange_into(payload.data(), kind, filter);
@@ -253,9 +230,8 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   const auto accept = [&](const rtm::Message& m) {
     try {
       FilterExchange fx = decode_filter_exchange(m.payload);
-      auto& slot = (fx.kind == LookupKind::kKmer ? peer_filter_kmer_
-                                                 : peer_filter_tile_)
-          [static_cast<std::size_t>(m.source)];
+      auto& slot =
+          at(fx.kind).peer_filters[static_cast<std::size_t>(m.source)];
       filter_bytes_ += fx.filter.memory_bytes();
       slot = std::make_unique<hash::OwnerFilter>(std::move(fx.filter));
     } catch (const std::exception&) {
@@ -286,118 +262,66 @@ void DistSpectrum::exchange_filters(const RetryPolicy& retry) {
   }
 }
 
-DistSpectrum::FilterAnswer DistSpectrum::filter_kmer(seq::kmer_id_t id,
-                                                     int owner) const {
-  if (owner < 0 || static_cast<std::size_t>(owner) >= peer_filter_kmer_.size()) {
+DistSpectrum::FilterAnswer DistSpectrum::filter(LookupKind kind,
+                                                std::uint64_t id,
+                                                int owner) const {
+  const auto& filters = at(kind).peer_filters;
+  if (owner < 0 || static_cast<std::size_t>(owner) >= filters.size()) {
     return FilterAnswer::kNoFilter;
   }
-  const auto& filter = peer_filter_kmer_[static_cast<std::size_t>(owner)];
-  if (!filter) return FilterAnswer::kNoFilter;
-  return filter->possibly_contains(id) ? FilterAnswer::kMaybePresent
-                                       : FilterAnswer::kDefinitelyAbsent;
-}
-
-DistSpectrum::FilterAnswer DistSpectrum::filter_tile(seq::tile_id_t id,
-                                                     int owner) const {
-  if (owner < 0 || static_cast<std::size_t>(owner) >= peer_filter_tile_.size()) {
-    return FilterAnswer::kNoFilter;
-  }
-  const auto& filter = peer_filter_tile_[static_cast<std::size_t>(owner)];
-  if (!filter) return FilterAnswer::kNoFilter;
-  return filter->possibly_contains(id) ? FilterAnswer::kMaybePresent
-                                       : FilterAnswer::kDefinitelyAbsent;
+  const auto& f = filters[static_cast<std::size_t>(owner)];
+  if (!f) return FilterAnswer::kNoFilter;
+  return f->possibly_contains(id) ? FilterAnswer::kMaybePresent
+                                  : FilterAnswer::kDefinitelyAbsent;
 }
 
 void DistSpectrum::drop_reads_tables() {
-  pending_kmer_.clear();
-  pending_tile_.clear();
-  reads_kmer_.clear();
-  reads_tile_.clear();
-  remote_cache_order_kmer_.clear();
-  remote_cache_order_tile_.clear();
-}
-
-std::optional<std::uint32_t> DistSpectrum::owned_kmer(seq::kmer_id_t id) const {
-  return hash_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::owned_tile(seq::tile_id_t id) const {
-  return hash_tile_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::reads_kmer(seq::kmer_id_t id) const {
-  return reads_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::reads_tile(seq::tile_id_t id) const {
-  return reads_tile_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::replica_kmer(
-    seq::kmer_id_t id) const {
-  return replica_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::replica_tile(
-    seq::tile_id_t id) const {
-  return replica_tile_.find(id);
-}
-
-std::optional<std::uint32_t> DistSpectrum::group_kmer(seq::kmer_id_t id) const {
-  return group_kmer_.find(id);
-}
-std::optional<std::uint32_t> DistSpectrum::group_tile(seq::tile_id_t id) const {
-  return group_tile_.find(id);
-}
-
-void DistSpectrum::cache_into(hash::CountTable<>& table,
-                              std::deque<std::uint64_t>& order,
-                              std::uint64_t id, std::uint32_t count) {
-  if (table.contains(id)) return;  // fetched or already cached
-  while (order.size() >= params_.remote_cache_capacity) {
-    table.erase(order.front());
-    order.pop_front();
+  for (Tables& t : tables_) {
+    t.pending.clear();
+    t.reads.clear();
+    t.cache_order.clear();
   }
-  table.increment(id, count);
-  order.push_back(id);
 }
 
-void DistSpectrum::cache_remote_kmer(seq::kmer_id_t id, std::uint32_t count) {
-  cache_into(reads_kmer_, remote_cache_order_kmer_, id, count);
-}
-void DistSpectrum::cache_remote_tile(seq::tile_id_t id, std::uint32_t count) {
-  cache_into(reads_tile_, remote_cache_order_tile_, id, count);
+void DistSpectrum::cache_remote(LookupKind kind, std::uint64_t id,
+                                std::uint32_t count) {
+  Tables& t = at(kind);
+  if (t.reads.contains(id)) return;  // fetched or already cached
+  while (t.cache_order.size() >= params_.remote_cache_capacity) {
+    t.reads.erase(t.cache_order.front());
+    t.cache_order.pop_front();
+  }
+  t.reads.increment(id, count);
+  t.cache_order.push_back(id);
 }
 
 void DistSpectrum::reset_for_job() {
   // The order deques hold exactly the add_remote-cached reply IDs — never
   // the fetch_global_reads_tables base entries — so erasing them restores
   // the reads tables to their end-of-construction state bit for bit.
-  for (const std::uint64_t id : remote_cache_order_kmer_) {
-    reads_kmer_.erase(id);
+  for (Tables& t : tables_) {
+    for (const std::uint64_t id : t.cache_order) t.reads.erase(id);
+    t.cache_order.clear();
   }
-  remote_cache_order_kmer_.clear();
-  for (const std::uint64_t id : remote_cache_order_tile_) {
-    reads_tile_.erase(id);
-  }
-  remote_cache_order_tile_.clear();
 }
 
 SpectrumFootprint DistSpectrum::footprint() const {
+  const Tables& k = at(LookupKind::kKmer);
+  const Tables& t = at(LookupKind::kTile);
   SpectrumFootprint f;
-  f.hash_kmer_entries = hash_kmer_.size();
-  f.hash_tile_entries = hash_tile_.size();
-  f.reads_kmer_entries = reads_kmer_.size() + pending_kmer_.size();
-  f.reads_tile_entries = reads_tile_.size() + pending_tile_.size();
-  f.replica_kmer_entries = replica_kmer_.size();
-  f.replica_tile_entries = replica_tile_.size();
-  f.replica_kmer_entries += group_kmer_.size();
-  f.replica_tile_entries += group_tile_.size();
-  f.bytes = hash_kmer_.memory_bytes() + hash_tile_.memory_bytes() +
-            pending_kmer_.memory_bytes() + pending_tile_.memory_bytes() +
-            reads_kmer_.memory_bytes() + reads_tile_.memory_bytes() +
-            replica_kmer_.memory_bytes() + replica_tile_.memory_bytes() +
-            group_kmer_.memory_bytes() + group_tile_.memory_bytes();
-  f.bytes += (remote_cache_order_kmer_.size() +
-              remote_cache_order_tile_.size()) *
-             sizeof(std::uint64_t);
-  if (bloom_kmer_) f.bytes += bloom_kmer_->memory_bytes();
-  if (bloom_tile_) f.bytes += bloom_tile_->memory_bytes();
+  f.hash_kmer_entries = k.owned.size();
+  f.hash_tile_entries = t.owned.size();
+  f.reads_kmer_entries = k.reads.size() + k.pending.size();
+  f.reads_tile_entries = t.reads.size() + t.pending.size();
+  f.replica_kmer_entries = k.replica.size() + k.group.size();
+  f.replica_tile_entries = t.replica.size() + t.group.size();
+  for (const Tables& x : tables_) {
+    f.bytes += x.owned.memory_bytes() + x.pending.memory_bytes() +
+               x.reads.memory_bytes() + x.replica.memory_bytes() +
+               x.group.memory_bytes() +
+               x.cache_order.size() * sizeof(std::uint64_t);
+    if (x.bloom) f.bytes += x.bloom->memory_bytes();
+  }
   f.filter_bytes = filter_bytes_;
   f.bytes += filter_bytes_;
   return f;

@@ -20,6 +20,7 @@
 // and stalls (rtm/chaos.hpp). seq == 0 is reserved for legacy unsequenced
 // traffic (hand-rolled tests); the views allocate from 1.
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 
@@ -40,6 +41,11 @@ enum Tag : int {
 
 /// Request kinds carried inside universal-mode payloads.
 enum class LookupKind : std::uint32_t { kKmer = 0, kTile = 1 };
+
+/// Both kinds, k-mers first: the order every per-kind step runs in (Step
+/// III exchange, reads-table fetch, replication, filter and round sends).
+inline constexpr std::array<LookupKind, 2> kLookupKinds = {LookupKind::kKmer,
+                                                           LookupKind::kTile};
 
 /// Non-universal request payload: the ID (the kind is the tag) plus the
 /// tag the reply must carry. Multiple correction worker threads on one
@@ -70,6 +76,11 @@ struct LookupReply {
   std::int32_t count = -1;
   std::uint32_t reserved = 0;  // explicit padding for a stable layout
 };
+
+/// Non-universal request tag of `kind`.
+constexpr int request_tag(LookupKind kind) noexcept {
+  return kind == LookupKind::kKmer ? kTagKmerRequest : kTagTileRequest;
+}
 
 /// Reply tag for request kind `kind` issued by worker `slot` (slot 0 uses
 /// the base tags).

@@ -1,6 +1,7 @@
 #include "parallel/remote_spectrum.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <optional>
 
@@ -9,6 +10,29 @@
 #include "parallel/wire.hpp"
 
 namespace reptile::parallel {
+
+namespace {
+
+/// The remote counters kept per kind, indexed by LookupKind.
+struct KindCounters {
+  std::uint64_t RemoteLookupStats::*remote_lookups;
+  std::uint64_t RemoteLookupStats::*remote_absent;
+  std::uint64_t RemoteLookupStats::*batch_ids;
+  std::uint64_t RemoteLookupStats::*batch_ids_raw;
+};
+using S = RemoteLookupStats;
+constexpr std::array<KindCounters, 2> kKindCounters = {{
+    {&S::remote_kmer_lookups, &S::remote_kmer_absent, &S::batch_kmer_ids,
+     &S::batch_kmer_ids_raw},
+    {&S::remote_tile_lookups, &S::remote_tile_absent, &S::batch_tile_ids,
+     &S::batch_tile_ids_raw},
+}};
+
+const KindCounters& counters(LookupKind kind) noexcept {
+  return kKindCounters[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
 
 RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
                                        int worker_slot,
@@ -24,19 +48,15 @@ RemoteSpectrumView::RemoteSpectrumView(rtm::Comm& comm, DistSpectrum& spectrum,
   retry_.validate();
   // Prefetch caches hold verbatim remote replies, not spectrum shards —
   // bill them to the remote_cache ledger account.
-  prefetch_kmer_.bind_ledger_account(obs::LedgerAccount::kRemoteCache);
-  prefetch_tile_.bind_ledger_account(obs::LedgerAccount::kRemoteCache);
+  for (KindState& k : kinds_) {
+    k.prefetch.bind_ledger_account(obs::LedgerAccount::kRemoteCache);
+  }
 }
 
 void RemoteSpectrumView::cache_local(std::uint64_t id, LookupKind kind,
                                      std::uint32_t count) {
-  const std::size_t cap = spectrum_->params().prefetch_capacity;
-  if (prefetch_kmer_.size() + prefetch_tile_.size() >= cap) return;
-  if (kind == LookupKind::kKmer) {
-    prefetch_kmer_.increment(id, count);
-  } else {
-    prefetch_tile_.increment(id, count);
-  }
+  if (cached_entries() >= spectrum_->params().prefetch_capacity) return;
+  at(kind).prefetch.increment(id, count);
 }
 
 obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
@@ -51,28 +71,20 @@ obs::Histogram* RemoteSpectrumView::latency_histogram(const char* name,
 
 bool RemoteSpectrumView::needs_remote(std::uint64_t id, LookupKind kind,
                                       int& owner) const {
-  const bool is_kmer = kind == LookupKind::kKmer;
-  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) return false;
+  if (allgathered(heur_, kind)) return false;
   owner = hash::owner_of(id, comm_->size());
   if (owner == comm_->rank()) return false;
   if (spectrum_->owner_in_my_group(owner)) return false;
-  if (heur_.read_kmers) {
-    const auto c = is_kmer ? spectrum_->reads_kmer(id)
-                           : spectrum_->reads_tile(id);
-    if (c) return false;
-  }
-  return true;
+  return !(heur_.read_kmers && spectrum_->reads(kind, id));
 }
 
 void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
   if (!heur_.batch_lookups) return;
-  prefetch_kmer_.clear();
-  prefetch_tile_.clear();
+  for (KindState& k : kinds_) k.prefetch.clear();
   deferring_ = false;
   const int np = comm_->size();
   if (np <= 1 || heur_.fully_replicated()) return;
-  kmer_queue_.resize(static_cast<std::size_t>(np));
-  tile_queue_.resize(static_cast<std::size_t>(np));
+  for (KindState& k : kinds_) k.queue.resize(static_cast<std::size_t>(np));
 
   // Round 0 asks for the gate tiles only: a read's own k-mers are needed
   // just as the constituents of candidate tiles, and later rounds ask for
@@ -90,11 +102,11 @@ void RemoteSpectrumView::prefetch_chunk(const seq::ReadBatch& batch) {
     // Skipped before the raw counter so dedup_ratio keeps measuring
     // dedup alone, unchanged by filtering.
     if (heur_.filter_lookups &&
-        spectrum_->filter_tile(id, owner) ==
+        spectrum_->filter(LookupKind::kTile, id, owner) ==
             DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
       continue;
     }
-    tile_queue_[static_cast<std::size_t>(owner)].push_back(id);
+    at(LookupKind::kTile).queue[static_cast<std::size_t>(owner)].push_back(id);
   }
   round_ = 0;
   run_round();
@@ -114,10 +126,9 @@ std::size_t RemoteSpectrumView::run_round() {
   const std::size_t cap = spectrum_->params().prefetch_capacity;
   std::size_t room = cap - std::min(cap, cached_entries());
   std::size_t total = 0;
-  for (auto* queues : {&kmer_queue_, &tile_queue_}) {
-    for (std::vector<std::uint64_t>& ids : *queues) {
-      (queues == &kmer_queue_ ? remote_.batch_kmer_ids_raw
-                              : remote_.batch_tile_ids_raw) += ids.size();
+  for (LookupKind kind : kLookupKinds) {
+    for (std::vector<std::uint64_t>& ids : at(kind).queue) {
+      remote_.*counters(kind).batch_ids_raw += ids.size();
       std::sort(ids.begin(), ids.end());
       ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
       if (ids.size() > room) ids.resize(room);
@@ -159,23 +170,16 @@ std::size_t RemoteSpectrumView::run_round() {
         obs::flow_id(comm_->rank(), batch_reply_tag(p.kind, worker_slot_),
                      p.seq));
   };
-  auto send_buckets = [&](const std::vector<std::vector<std::uint64_t>>& bks,
-                          LookupKind kind) {
+  for (LookupKind kind : kLookupKinds) {
     for (int owner = 0; owner < np; ++owner) {
-      const auto& ids = bks[static_cast<std::size_t>(owner)];
+      const auto& ids = at(kind).queue[static_cast<std::size_t>(owner)];
       if (ids.empty()) continue;
       pending.push_back({owner, kind, &ids, next_seq_++});
       send_batch(pending.back());
       ++remote_.batch_requests;
-      if (kind == LookupKind::kKmer) {
-        remote_.batch_kmer_ids += ids.size();
-      } else {
-        remote_.batch_tile_ids += ids.size();
-      }
+      remote_.*counters(kind).batch_ids += ids.size();
     }
-  };
-  send_buckets(kmer_queue_, LookupKind::kKmer);
-  send_buckets(tile_queue_, LookupKind::kTile);
+  }
   span.arg("ids", total);  // spans carry two args: round and ids
 
   rtm::check::RunChecker* check = comm_->world().checker();
@@ -209,18 +213,12 @@ std::size_t RemoteSpectrumView::run_round() {
           // Every batched ID the filter let through that the owner reports
           // absent was a wasted wire slot: a filter false positive. (IDs
           // with no usable filter don't count — there was nothing to ask.)
-          const auto fa = p.kind == LookupKind::kKmer
-                              ? spectrum_->filter_kmer((*p.ids)[i], p.owner)
-                              : spectrum_->filter_tile((*p.ids)[i], p.owner);
-          if (fa == DistSpectrum::FilterAnswer::kMaybePresent) {
+          if (spectrum_->filter(p.kind, (*p.ids)[i], p.owner) ==
+              DistSpectrum::FilterAnswer::kMaybePresent) {
             ++remote_.filter_false_positives;
           }
         }
-        if (p.kind == LookupKind::kKmer) {
-          prefetch_kmer_.increment((*p.ids)[i], c);
-        } else {
-          prefetch_tile_.increment((*p.ids)[i], c);
-        }
+        at(p.kind).prefetch.increment((*p.ids)[i], c);
       }
       return true;
     };
@@ -276,8 +274,8 @@ std::size_t RemoteSpectrumView::run_round() {
             obs::Tracer::instance().now_ns() - prefetch_start, 0) /
         1000));
   }
-  for (auto* queues : {&kmer_queue_, &tile_queue_}) {
-    for (std::vector<std::uint64_t>& ids : *queues) ids.clear();
+  for (KindState& k : kinds_) {
+    for (std::vector<std::uint64_t>& ids : k.queue) ids.clear();
   }
   return cached_entries() - cached_before;
 }
@@ -307,9 +305,7 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
       req.id = id;
       req.seq = seq;
       req.reply_to = reply_to;
-      comm_->send_value(
-          owner,
-          kind == LookupKind::kKmer ? kTagKmerRequest : kTagTileRequest, req);
+      comm_->send_value(owner, request_tag(kind), req);
     }
   };
   // Validates one candidate reply; nullopt = not ours (duplicate or stale
@@ -368,11 +364,7 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
         // degraded_lookups() tells the corrector the evidence is
         // incomplete, so it skips the position instead of acting on it.
         comm_wait_.stop();
-        if (kind == LookupKind::kKmer) {
-          ++remote_.remote_kmer_lookups;
-        } else {
-          ++remote_.remote_tile_lookups;
-        }
+        ++(remote_.*counters(kind).remote_lookups);
         ++remote_.degraded_lookups;
         return 0;
       }
@@ -387,13 +379,8 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
         1000));
   }
 
-  if (kind == LookupKind::kKmer) {
-    ++remote_.remote_kmer_lookups;
-    if (reply->count < 0) ++remote_.remote_kmer_absent;
-  } else {
-    ++remote_.remote_tile_lookups;
-    if (reply->count < 0) ++remote_.remote_tile_absent;
-  }
+  ++(remote_.*counters(kind).remote_lookups);
+  if (reply->count < 0) ++(remote_.*counters(kind).remote_absent);
   if (filter_said_maybe && reply->count < 0) {
     // The peer filter let this ID through and the owner reports it absent:
     // a false positive — the round trip the filter exists to avoid.
@@ -409,43 +396,32 @@ std::uint32_t RemoteSpectrumView::remote_lookup(int owner, std::uint64_t id,
     // reply lands in this worker's chunk-local cache instead.
     if (cache_remote_locally_) {
       cache_local(id, kind, count);
-    } else if (kind == LookupKind::kKmer) {
-      spectrum_->cache_remote_kmer(id, count);
     } else {
-      spectrum_->cache_remote_tile(id, count);
+      spectrum_->cache_remote(kind, id, count);
     }
   }
   return count;
 }
 
 std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
-  const bool is_kmer = kind == LookupKind::kKmer;
-
-  if (is_kmer ? heur_.allgather_kmers : heur_.allgather_tiles) {
-    const auto c = is_kmer ? spectrum_->replica_kmer(id)
-                           : spectrum_->replica_tile(id);
-    return c.value_or(0);
+  if (allgathered(heur_, kind)) {
+    return spectrum_->replica(kind, id).value_or(0);
   }
 
   const int owner = hash::owner_of(id, comm_->size());
   if (owner == comm_->rank()) {
     // We are the owner: a miss in our shard is a definitive global absence.
-    const auto c = is_kmer ? spectrum_->owned_kmer(id)
-                           : spectrum_->owned_tile(id);
-    return c.value_or(0);
+    return spectrum_->owned(kind, id).value_or(0);
   }
 
   if (spectrum_->owner_in_my_group(owner)) {
     // Partial replication: we hold the owner's shard; a miss is definitive.
     ++remote_.group_lookups;
-    const auto c = is_kmer ? spectrum_->group_kmer(id)
-                           : spectrum_->group_tile(id);
-    return c.value_or(0);
+    return spectrum_->group(kind, id).value_or(0);
   }
 
   if (heur_.read_kmers) {
-    const auto c = is_kmer ? spectrum_->reads_kmer(id)
-                           : spectrum_->reads_tile(id);
+    const auto c = spectrum_->reads(kind, id);
     if (c) {
       ++remote_.reads_table_hits;
       return *c;
@@ -460,8 +436,7 @@ std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
     // the prefetch cache so the filter/prefetch counters stay identical
     // between scalar and batched runs (prefetch_chunk excluded
     // filter-definite IDs with the same immutable filter).
-    const auto fa = is_kmer ? spectrum_->filter_kmer(id, owner)
-                            : spectrum_->filter_tile(id, owner);
+    const auto fa = spectrum_->filter(kind, id, owner);
     if (fa == DistSpectrum::FilterAnswer::kDefinitelyAbsent) {
       ++remote_.filter_neg_hits;
       return 0;
@@ -472,15 +447,14 @@ std::uint32_t RemoteSpectrumView::lookup(std::uint64_t id, LookupKind kind) {
   if (heur_.batch_lookups || cache_remote_locally_) {
     // Chunk-local prefetch cache: counts are verbatim remote replies, so a
     // hit is exactly what the scalar round trip would have returned.
-    const auto c = is_kmer ? prefetch_kmer_.find(id) : prefetch_tile_.find(id);
+    const auto c = at(kind).prefetch.find(id);
     if (c) {
       ++remote_.prefetch_hits;
       return *c;
     }
     if (deferring_) {
       // The chunk's rounds are running: fetch it with the next one.
-      (is_kmer ? kmer_queue_ : tile_queue_)[static_cast<std::size_t>(owner)]
-          .push_back(id);
+      at(kind).queue[static_cast<std::size_t>(owner)].push_back(id);
       ++deferred_;
       return 0;
     }

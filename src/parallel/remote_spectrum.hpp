@@ -33,6 +33,7 @@
 //      with add_remote the reply is cached into the reads table (shared,
 //      single worker) or this worker's prefetch cache (multi-worker).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -132,7 +133,7 @@ class RemoteSpectrumView final : public core::SpectrumView {
   void cache_local(std::uint64_t id, LookupKind kind, std::uint32_t count);
 
   std::size_t cached_entries() const noexcept {
-    return prefetch_kmer_.size() + prefetch_tile_.size();
+    return kinds_[0].prefetch.size() + kinds_[1].prefetch.size();
   }
 
   /// Sends the queued IDs (deduped, capped at the cache's remaining room)
@@ -166,24 +167,31 @@ class RemoteSpectrumView final : public core::SpectrumView {
   obs::Histogram* batch_hist_ = nullptr;
   bool batch_hist_resolved_ = false;
 
-  /// Chunk-local prefetch cache: verbatim remote counts (0 = definitive
-  /// absence), cleared by every prefetch_chunk. Worker-private, so no
-  /// locking is ever needed.
-  hash::CountTable<> prefetch_kmer_;
-  hash::CountTable<> prefetch_tile_;
+  /// One kind's chunk-local state. Worker-private, so no locking is ever
+  /// needed.
+  struct KindState {
+    /// Prefetch cache: verbatim remote counts (0 = definitive absence),
+    /// cleared by every prefetch_chunk.
+    hash::CountTable<> prefetch;
+    /// Indexed by owning rank: the IDs the next round requests (duplicates
+    /// allowed; run_round dedupes).
+    std::vector<std::vector<std::uint64_t>> queue;
+  };
+  KindState& at(LookupKind kind) noexcept {
+    return kinds_[static_cast<std::size_t>(kind)];
+  }
 
-  // Round state. Queues are indexed by owning rank and hold the IDs the
-  // next round requests (duplicates allowed; run_round dedupes). The marks
-  // are the counters at the last begin_tile(): during a deferring pass
-  // only the logical counters move (lookups, local hits, cache hits), so
-  // suspend_tile() restores both structs whole.
+  /// Indexed by LookupKind.
+  std::array<KindState, 2> kinds_;
+
+  // Round state. The marks are the counters at the last begin_tile():
+  // during a deferring pass only the logical counters move (lookups, local
+  // hits, cache hits), so suspend_tile() restores both structs whole.
   bool deferring_ = false;
   int round_ = 0;
   std::uint64_t deferred_ = 0;
   core::LookupStats stats_mark_;
   RemoteLookupStats remote_mark_;
-  std::vector<std::vector<std::uint64_t>> kmer_queue_;
-  std::vector<std::vector<std::uint64_t>> tile_queue_;
   std::vector<seq::tile_id_t> tile_scratch_;
 };
 

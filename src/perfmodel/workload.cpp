@@ -25,11 +25,11 @@ class RecordingView final : public core::SpectrumView {
       : base_(&base), ctx_(ctx), cb_(cb) {}
 
   std::uint32_t kmer_count(seq::kmer_id_t id) override {
-    cb_(ctx_, Kind::kKmer, base_->canon_kmer(id));
+    cb_(ctx_, Kind::kKmer, base_->extractor().canon_kmer(id));
     return base_->kmer_count(id);
   }
   std::uint32_t tile_count(seq::tile_id_t id) override {
-    cb_(ctx_, Kind::kTile, base_->canon_tile(id));
+    cb_(ctx_, Kind::kTile, base_->extractor().canon_tile(id));
     return base_->tile_count(id);
   }
   const core::LookupStats& stats() const override { return base_->stats(); }

@@ -7,7 +7,8 @@
 //   LocalSpectrumModel      — sequential reference (core::LocalSpectrum);
 //   DistSpectrumModel       — the paper's partitioned spectrum + lookup
 //                             protocol (dist_model.hpp);
-//   ReplicatedSpectrumModel — the prior-art full replica per rank
+//   ReplicatedSpectrumModel — the prior-art full replica per rank: the
+//                             local model with an allgather as Step III
 //                             (replicated_model.hpp).
 
 #include <cstddef>
@@ -115,8 +116,9 @@ class SpectrumModel {
 };
 
 /// The sequential reference model: both spectra in one in-memory
-/// core::LocalSpectrum, no communication anywhere.
-class LocalSpectrumModel final : public SpectrumModel {
+/// core::LocalSpectrum, no communication anywhere. ReplicatedSpectrumModel
+/// reuses it with an allgather as its Step III.
+class LocalSpectrumModel : public SpectrumModel {
  public:
   explicit LocalSpectrumModel(const core::CorrectorParams& params)
       : spectrum_(params) {}
@@ -147,7 +149,8 @@ class LocalSpectrumModel final : public SpectrumModel {
   core::LocalSpectrum& spectrum() noexcept { return spectrum_; }
 
  private:
-  /// The single-worker handle: lookups are the spectrum's counter delta
+  /// The single-worker handle (the replicated baseline runs one correction
+  /// thread per rank too): lookups are the spectrum's counter delta
   /// since the handle was made (construction-phase counters excluded).
   class Handle final : public WorkerHandle {
    public:

@@ -127,7 +127,7 @@ TEST(BatchProtocol, ServiceAnswersVectoredRequest) {
     std::uint64_t probe_id = 0;
     std::uint32_t probe_count = 0;
     if (comm.rank() == 0) {
-      spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
+      spectrum.owned_table(LookupKind::kKmer).for_each([&](std::uint64_t id, std::uint32_t c) {
         if (probe_count == 0) {
           probe_id = id;
           probe_count = c;
@@ -485,21 +485,21 @@ TEST(RemoteCache, EvictsOldestBeyondCapacity) {
     h.add_remote = true;
     DistSpectrum spectrum(p, h, comm);
     for (std::uint64_t id = 0; id < 10; ++id) {
-      spectrum.cache_remote_kmer(id, static_cast<std::uint32_t>(id + 1));
+      spectrum.cache_remote(LookupKind::kKmer, id, static_cast<std::uint32_t>(id + 1));
     }
     // FIFO: only the 4 newest replies survive.
     for (std::uint64_t id = 0; id < 6; ++id) {
-      EXPECT_FALSE(spectrum.reads_kmer(id).has_value()) << "id " << id;
+      EXPECT_FALSE(spectrum.reads(LookupKind::kKmer, id).has_value()) << "id " << id;
     }
     for (std::uint64_t id = 6; id < 10; ++id) {
-      const auto c = spectrum.reads_kmer(id);
+      const auto c = spectrum.reads(LookupKind::kKmer, id);
       ASSERT_TRUE(c.has_value()) << "id " << id;
       EXPECT_EQ(*c, static_cast<std::uint32_t>(id + 1));
     }
     // Re-caching an evicted ID readmits it (and evicts the then-oldest).
-    spectrum.cache_remote_kmer(0, 1);
-    EXPECT_TRUE(spectrum.reads_kmer(0).has_value());
-    EXPECT_FALSE(spectrum.reads_kmer(6).has_value());
+    spectrum.cache_remote(LookupKind::kKmer, 0, 1);
+    EXPECT_TRUE(spectrum.reads(LookupKind::kKmer, 0).has_value());
+    EXPECT_FALSE(spectrum.reads(LookupKind::kKmer, 6).has_value());
   });
 }
 

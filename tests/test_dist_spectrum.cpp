@@ -84,7 +84,7 @@ std::map<std::uint64_t, std::uint32_t> distributed_kmer_counts(
     }
     if (prune_threshold > 1) spectrum.prune();
     std::lock_guard lock(merge_mutex);
-    spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t c) {
+    spectrum.owned_table(LookupKind::kKmer).for_each([&](std::uint64_t id, std::uint32_t c) {
       // Each ID must live on exactly one rank.
       EXPECT_EQ(merged.count(id), 0u) << "id owned by two ranks";
       EXPECT_EQ(hash::owner_of(id, np), comm.rank());
@@ -135,9 +135,9 @@ TEST(DistSpectrum, OwnedLookupsAnswerOnlyOwnedIds) {
       spectrum.add_read(ds.reads[i].bases);
     }
     spectrum.exchange_to_owners();
-    spectrum.hash_kmers().for_each([&](std::uint64_t id, std::uint32_t) {
+    spectrum.owned_table(LookupKind::kKmer).for_each([&](std::uint64_t id, std::uint32_t) {
       EXPECT_TRUE(spectrum.owns_kmer(id));
-      EXPECT_TRUE(spectrum.owned_kmer(id).has_value());
+      EXPECT_TRUE(spectrum.owned(LookupKind::kKmer, id).has_value());
     });
   });
 }
@@ -158,10 +158,10 @@ TEST(DistSpectrum, ReplicationGathersWholeSpectrum) {
       spectrum.add_read(ds.reads[i].bases);
     }
     spectrum.exchange_to_owners();
-    spectrum.replicate_kmers();
+    spectrum.replicate(LookupKind::kKmer);
     // Every rank sees every k-mer with its exact global count.
     for (const auto& [id, count] : reference) {
-      ASSERT_EQ(spectrum.replica_kmer(id), count);
+      ASSERT_EQ(spectrum.replica(LookupKind::kKmer, id), count);
     }
   });
 }
@@ -194,7 +194,7 @@ TEST(DistSpectrum, ReadsTablesHoldGlobalCountsAfterFetch) {
     // with the global (pruned) count.
     for (auto id : my_kmers) {
       if (spectrum.owns_kmer(id)) continue;
-      const auto local = spectrum.reads_kmer(id);
+      const auto local = spectrum.reads(LookupKind::kKmer, id);
       ASSERT_TRUE(local.has_value());
       const auto it = reference.find(id);
       const std::uint32_t global =
